@@ -27,7 +27,7 @@ def show(game, title):
         for row in m.rows:
             print("   ", " ".join(str(v) for v in row))
     report = support_enumeration(game)
-    print(f"support pairs examined: {report.enumerated_supports}")
+    print(f"supports examined: {report.enumerated_supports}")
     print(f"equilibria found: {len(report.equilibria)}")
     for prof in report.equilibria:
         print(f"  x = {prof.x.numerators} / {prof.x.denominator}"

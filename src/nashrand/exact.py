@@ -146,7 +146,8 @@ def cofactor_sum(m: IntMatrix, *, method: str = "definition") -> int:
             raise SingularMatrix("solve-based cofactor sum needs det != 0")
         total = sum(solve_exact(m.transpose(), [1] * n))
         value = total * d
-        assert value.denominator == 1
+        if value.denominator != 1:
+            raise ArithmeticError("det times the solve sum must be an integer")
         return int(value)
     if method != "definition":
         raise ValueError(f"unknown method {method!r}")
@@ -214,7 +215,8 @@ def solve_scaled(a: list[list[int]], rhs: list[int]) -> tuple[int, list[int]] | 
         for j in range(i + 1, n):
             acc -= row[j] * y[j]
         q, r = divmod(acc, row[i])
-        assert r == 0, "scaled back-substitution must divide exactly"
+        if r:
+            raise ArithmeticError("scaled back-substitution must divide exactly")
         y[i] = q
     return d, y
 

@@ -1,4 +1,4 @@
-"""Equilibrium computation by exact support enumeration.
+r"""Equilibrium computation by exact support enumeration.
 
 For every pair of equal-size supports (I, J) the two indifference systems
 are solved over the rationals:
@@ -12,6 +12,18 @@ Equal-size supports capture every equilibrium of a nondegenerate game; a
 degeneracy flag is raised whenever evidence to the contrary shows up
 (an off-support pure strategy tied with the support payoff, or a solved
 support coordinate landing on zero).
+
+Imitation games (A the identity) take a one-sided path instead: 2^n - 1
+supports S rather than C(2n, n) - 1 pairs.  Only the x-system is solved,
+with J = I = S, and y is uniform on S (McLennan and Tourky, "Simple
+complexity from imitation games", GEB 2010).  The pair loop, run on such a
+game, accepts only pairs with I = J, so both paths report the same
+equilibria and the same degeneracy flag, and no fallback is needed:
+
+    |I \ J| >= 2: two rows of the y-system read -v = 0, so it is singular.
+    |I \ J| = 1: v = 0 and y = e_j with j in J \ I, whose row pays
+        1 > 0; the pair is rejected before any tie or zero counts.
+    I = J: y is uniform, and off-support rows pay 0 < 1/|S|, never a tie.
 
 Enumeration order is ascending support size, then lexicographic supports,
 which makes reports deterministic.
@@ -28,10 +40,20 @@ from itertools import combinations
 
 from .errors import DimensionTooLarge, NoEquilibriumFound
 from .exact import solve_exact, solve_scaled
-from .games import Game, Profile, canonicalize, complexity, is_nash, pure
+from .games import (
+    Game,
+    MixedStrategy,
+    Profile,
+    canonicalize,
+    complexity,
+    is_nash,
+    pure,
+)
 
 DEFAULT_MAX_N = 10
 MAX_N_ENV = "NASHRAND_MAX_N"
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 def resolve_max_n(max_n: int | None = None) -> int:
@@ -57,6 +79,13 @@ class SupportPair:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Every equilibrium support enumeration found, in enumeration order.
+
+    ``enumerated_supports`` counts the supports examined: support pairs
+    (I, J) on the generic path, C(2n, n) - 1 of them, and single supports
+    S on imitation games, 2^n - 1 of them.
+    """
+
     equilibria: tuple[Profile, ...]
     c1_min: int | None
     c2_min: int | None
@@ -93,9 +122,65 @@ def _enumerate(game: Game) -> SolveReport:
     # sign feasibility and payoff comparisons multiply through by sign(d)
     # instead of building Fractions.  Rationals appear only for accepted
     # equilibria.
-    n = game.n
     a = game.A.rows
-    b = game.B.rows
+    if all(v == (i == j) for i, row in enumerate(a) for j, v in enumerate(row)):
+        return _enumerate_imitation(game.n, game.B.rows)
+    return _enumerate_pairs(game.n, a, game.B.rows)
+
+
+def _enumerate_imitation(n: int, b: Rows) -> SolveReport:
+    """One-sided enumeration of the imitation game (I, B)."""
+    equilibria: list[Profile] = []
+    degenerate = False
+    supports = 0
+    rng_all = range(n)
+    for k in range(1, n + 1):
+        rhs = [0] * k + [1]
+        for S in combinations(rng_all, k):
+            supports += 1
+            # x makes the columns of S indifferent under B
+            b_rows = [b[i] for i in S]
+            m = [[row[j] for row in b_rows] + [-1] for j in S]
+            m.append([1] * k + [0])
+            sol = solve_scaled(m, rhs)
+            if sol is None:
+                continue
+            d, xv = sol
+            if d < 0:
+                xv = [-t for t in xv]
+                d = -d
+            if any(t < 0 for t in xv[:k]):
+                continue
+            u = xv[k]
+            sset = set(S)
+            extra_ties = False
+            feasible = True
+            for j in rng_all:
+                if j in sset:
+                    continue
+                payoff = sum(row[j] * xv[idx] for idx, row in enumerate(b_rows))
+                if payoff > u:
+                    feasible = False
+                    break
+                if payoff == u:
+                    extra_ties = True
+            if not feasible:
+                continue
+            if any(t == 0 for t in xv[:k]):
+                degenerate = True
+                continue
+            if extra_ties:
+                degenerate = True
+            x = [Fraction(0)] * n
+            for idx, i in enumerate(S):
+                x[i] = Fraction(xv[idx], d)
+            y = MixedStrategy(tuple(int(i in sset) for i in rng_all), k)
+            equilibria.append(Profile(canonicalize(x), y))
+    return _report(equilibria, degenerate, supports)
+
+
+def _enumerate_pairs(n: int, a: Rows, b: Rows) -> SolveReport:
+    """Generic enumeration over all equal-size support pairs (I, J)."""
     equilibria: list[Profile] = []
     degenerate = False
     pairs = 0
@@ -175,9 +260,15 @@ def _enumerate(game: Game) -> SolveReport:
                 for idx, j in enumerate(J):
                     y[j] = Fraction(yv[idx], d1)
                 equilibria.append(Profile(canonicalize(x), canonicalize(y)))
+    return _report(equilibria, degenerate, pairs)
+
+
+def _report(
+    equilibria: list[Profile], degenerate: bool, examined: int
+) -> SolveReport:
     c1 = min((complexity(p.x) for p in equilibria), default=None)
     c2 = min((complexity(p.y) for p in equilibria), default=None)
-    return SolveReport(tuple(equilibria), c1, c2, degenerate, pairs)
+    return SolveReport(tuple(equilibria), c1, c2, degenerate, examined)
 
 
 def profile_supports(profile: Profile) -> SupportPair:

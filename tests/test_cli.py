@@ -161,17 +161,22 @@ def test_scan_constsum_families(capsys):
     assert rows[0][1] == rows[0][2] == "23"
 
 
-def test_scan_closed_form_matches_enumeration(capsys, corpus):
+def test_scan_closed_form_matches_enumeration(capsys):
+    from nashrand.families import beta_game, prime_block_game
     from nashrand.solving import min_complexities
 
-    rc, out = run_cli(capsys, "scan", "beta", "--from", "8", "--to", "10")
+    rc, out = run_cli(capsys, "scan", "beta", "--from", "8", "--to", "14")
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    for row, key in zip(rows, ("example1", "beta9", "beta10")):
-        assert (int(row[1]), int(row[2])) == min_complexities(corpus[key])
-    rc, out = run_cli(capsys, "scan", "primeblock", "--from", "1", "--to", "2")
+    assert [int(row[0]) for row in rows] == list(range(8, 15))
+    for row in rows:
+        game = beta_game(int(row[0]))
+        assert (int(row[1]), int(row[2])) == min_complexities(game, max_n=14)
+    rc, out = run_cli(capsys, "scan", "primeblock", "--from", "1", "--to", "3")
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    for row, key in zip(rows, ("primeblock1", "primeblock2")):
-        assert (int(row[1]), int(row[2])) == min_complexities(corpus[key])
+    assert [int(row[0]) for row in rows] == [4, 8, 14]  # N for k = 1..3
+    for k, row in enumerate(rows, start=1):
+        game = prime_block_game(k)
+        assert (int(row[1]), int(row[2])) == min_complexities(game, max_n=14)
 
 
 def test_solve_warns_on_degeneracy(tmp_path, capsys):

@@ -9,6 +9,7 @@ from conftest import (
     coordination_game,
     matching_pennies,
     random_binary_matrix,
+    random_int_matrix,
 )
 from nashrand.errors import DimensionTooLarge, SingularMatrix
 from nashrand.exact import IntMatrix, cofactor_sum, det
@@ -23,6 +24,7 @@ from nashrand.games import (
     uniform,
 )
 from nashrand.solving import (
+    _enumerate_pairs,
     bounded_ne_exists,
     complexity_upper_bound,
     fully_mixed_ne,
@@ -269,3 +271,44 @@ def test_degenerate_flag_raised_on_tied_off_support_column():
     b = IntMatrix([[1, 1], [0, 0]])
     report = support_enumeration(Game(a, b))
     assert report.degenerate_flag
+
+
+def test_imitation_path_matches_pair_loop():
+    # the one-sided path must reproduce the generic pair loop exactly,
+    # equilibrium order and degeneracy flag included; entries in 0..1 and
+    # 0..99 make many of these games degenerate
+    rng = random.Random(2312)
+    degenerate = 0
+    for hi in (1, 99):
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            game = Game(IntMatrix.identity(n), random_int_matrix(rng, n, 0, hi))
+            fast = support_enumeration(game)
+            slow = _enumerate_pairs(n, game.A.rows, game.B.rows)
+            assert fast.equilibria == slow.equilibria
+            assert (fast.c1_min, fast.c2_min) == (slow.c1_min, slow.c2_min)
+            assert fast.degenerate_flag == slow.degenerate_flag
+            assert fast.enumerated_supports == 2**n - 1
+            assert slow.enumerated_supports == math.comb(2 * n, n) - 1
+            degenerate += slow.degenerate_flag
+    assert degenerate > 0
+
+
+def test_imitation_path_on_paper_games(corpus):
+    for key in ("example1", "primeblock1", "primeblock2"):
+        game = corpus[key]
+        n = game.n
+        report = support_enumeration(game)
+        assert report.enumerated_supports == 2**n - 1
+        slow = _enumerate_pairs(n, game.A.rows, game.B.rows)
+        assert report.equilibria == slow.equilibria
+        assert report.degenerate_flag == slow.degenerate_flag
+
+
+def test_near_identity_row_payoffs_take_pair_loop():
+    n = 4
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[2][3] = 1
+    game = Game(IntMatrix(rows), random_binary_matrix(random.Random(7), n))
+    report = support_enumeration(game)
+    assert report.enumerated_supports == math.comb(2 * n, n) - 1
