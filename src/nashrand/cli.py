@@ -264,7 +264,8 @@ def cmd_recurrence(args: argparse.Namespace) -> int:
         lines.append(
             f"{n},{table.a(n)},{table.b(n)},{table.det_b(n)},{table.g(n)},{ratio}"
         )
-        assert table.a(n) - table.b(n) - table.b(n + 1) == 0
+        if table.a(n) != table.b(n) + table.b(n + 1):
+            raise HypothesisViolation(f"identity a(n) = b(n) + b(n+1) fails at n={n}")
     lines.append("# identities verified: a(n) = b(n) + b(n+1); "
                  "det recurrence; sign(b(n)) = (-1)^n for n >= 4")
     _write("\n".join(lines) + "\n", args.out)

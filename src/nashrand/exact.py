@@ -1,9 +1,25 @@
 """Exact linear algebra over square integer matrices.
 
 Everything here is computed with unbounded Python integers and
-``fractions.Fraction``; no floating point is involved.  Determinants use
-fraction-free (Bareiss) elimination, which keeps intermediate entries
-integral and divisions exact, so matrices of a few hundred rows stay cheap.
+``fractions.Fraction``; no floating point is involved.  Determinants,
+solves and cofactor sums all run through one fraction-free (Bareiss)
+elimination, ``_eliminate``, which keeps intermediate entries integral and
+divisions exact, so matrices of a few hundred rows stay cheap.
+
+Bareiss step k replaces each row i below the pivot p_k by
+(row_i * p_k - a_ik * row_k) / p_{k-1}; by Sylvester's identity every
+entry produced is a minor of the input (Bareiss, Math. Comp. 1968).  A row
+whose lead a_ik is zero would only be multiplied by p_k / p_{k-1}, so the
+kernel skips it and keeps the invariant
+
+    stored row i = eliminated row i * base[i] / prev,
+
+where prev is the latest pivot and base[i] the pivot row i is currently
+divided by (the one current when it was last updated).  The skipped
+factors telescope, so when the row is next needed (nonzero lead, pivot
+row, or last row) one rescale ``v * prev // base[i]`` restores it, and the
+division is exact because the result is a minor.  Sparse and banded
+matrices thus skip most of the arithmetic.
 
 Column indices at the public API are 1-based, matching the usual
 linear-algebra convention for "replace column i".
@@ -11,6 +27,7 @@ linear-algebra convention for "replace column i".
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -25,7 +42,9 @@ class IntMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        grid = tuple(tuple(int(v) for v in row) for row in rows)
+        # exact-size tuples: tuple() of a generator over-allocates and then
+        # shrinks, which hands the memory back to another size's free list
+        grid = tuple([tuple([*map(int, row)]) for row in rows])
         n = len(grid)
         for row in grid:
             if len(row) != n:
@@ -64,58 +83,77 @@ class IntMatrix:
 
 def det(m: IntMatrix) -> int:
     """Exact determinant; the empty 0x0 matrix has determinant 1."""
-    return _det_rows([list(row) for row in m.rows])
+    return _eliminate([list(row) for row in m.rows])[0]
 
 
-def _det_rows(a: list[list[int]]) -> int:
+def _eliminate(
+    a: list[list[int]], rhs: Sequence[int] | None = None
+) -> tuple[int, list[int] | None]:
+    """Bareiss elimination of ``a``: the one kernel behind this module.
+
+    Returns ``(det(a), y)``.  When ``rhs`` is given and det(a) != 0, y is the
+    integer vector adj(a) @ rhs, so x = y / det(a) solves ``a @ x = rhs``;
+    otherwise y is None.  Mutates ``a``: rows are swapped, rescaled and
+    extended by ``rhs``.
+
+    Rows whose lead is zero at step k are left unscaled, as the module
+    docstring describes.  A zero test on such a row is still exact, because
+    the skipped factor is nonzero.  Row swaps carry ``base`` along.
+    """
     n = len(a)
-    if n == 0:
-        return 1
+    if rhs is not None:
+        for row, v in zip(a, rhs):
+            row.append(v)
+    width = len(a[0]) if n else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
+    base = [1] * n
+    for k in range(n):
+        row_k = a[k]
+        if row_k[k] == 0:
             for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
+                if a[r][k]:
+                    a[k], a[r] = a[r], row_k
+                    base[k], base[r] = base[r], base[k]
+                    row_k = a[k]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = a[k][k]
+                return 0, None
+        b = base[k]
+        if b != prev:
+            row_k[k:] = [v * prev // b for v in row_k[k:]]
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            lead = a[i][k]
             row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
+            lead = row_i[k]
+            if lead == 0:
+                continue
+            b = base[i]
+            if b != prev:
+                row_i[k:] = [v * prev // b for v in row_i[k:]]
+                lead = row_i[k]
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
+            base[i] = pivot
         prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def det_cofactor_expansion(m: IntMatrix) -> int:
-    """Determinant by first-row cofactor expansion.
-
-    Factorial cost; kept as an independent cross-check for small matrices.
-    """
-    return _det_expand(m.rows)
-
-
-def _det_expand(rows: tuple[tuple[int, ...], ...]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    rest = rows[1:]
-    for j, v in enumerate(rows[0]):
-        if v == 0:
-            continue
-        minor = tuple(r[:j] + r[j + 1:] for r in rest)
-        total += (-1) ** j * v * _det_expand(minor)
-    return total
+    d = sign * prev
+    if rhs is None:
+        return d, None
+    # back-substitution on the triangle, scaled by d so y stays integral
+    y = [0] * n
+    if n:
+        y[-1] = sign * a[-1][n]
+    for i in range(n - 2, -1, -1):
+        row = a[i]
+        acc = row[n] * d
+        for j in range(i + 1, n):
+            acc -= row[j] * y[j]
+        q, r = divmod(acc, row[i])
+        if r:
+            raise ArithmeticError("scaled back-substitution must divide exactly")
+        y[i] = q
+    return d, y
 
 
 def replace_column(m: IntMatrix, i: int, column: Sequence[int]) -> IntMatrix:
@@ -136,19 +174,16 @@ def cofactor_sum(m: IntMatrix, *, method: str = "definition") -> int:
 
     Equals the sum over columns of the determinant after replacing that
     column with all-ones.  ``method="definition"`` evaluates those n
-    determinants; ``method="solve"`` uses one exact solve instead
-    (valid only for invertible input, cubic instead of quartic cost).
+    determinants; ``method="solve"`` uses one elimination instead (valid
+    only for invertible input, cubic instead of quartic cost): the sum is
+    1^T adj(m) 1, the entry sum of y = adj(m) @ 1.
     """
     n = m.n
     if method == "solve":
-        d = det(m)
+        d, y = _eliminate([list(row) for row in m.rows], [1] * n)
         if d == 0:
             raise SingularMatrix("solve-based cofactor sum needs det != 0")
-        total = sum(solve_exact(m.transpose(), [1] * n))
-        value = total * d
-        if value.denominator != 1:
-            raise ArithmeticError("det times the solve sum must be an integer")
-        return int(value)
+        return sum(y)
     if method != "definition":
         raise ValueError(f"unknown method {method!r}")
     ones = [1] * n
@@ -164,70 +199,24 @@ def solve_exact(m: IntMatrix, rhs: Sequence[Rational]) -> tuple[Fraction, ...]:
     if len(rhs) != m.n:
         raise ValueError(f"rhs has length {len(rhs)}, need {m.n}")
     b = [Fraction(v) for v in rhs]
-    scale = 1
-    for v in b:
-        scale = scale * v.denominator // _gcd(scale, v.denominator)
+    scale = math.lcm(*(v.denominator for v in b))
     b_int = [int(v * scale) for v in b]
-    sol = solve_int(list(list(row) for row in m.rows), b_int)
-    if sol is None:
+    d, y = _eliminate([list(row) for row in m.rows], b_int)
+    if d == 0:
         raise SingularMatrix("matrix has determinant zero")
-    return tuple(v / scale for v in sol)
+    return tuple(Fraction(v, d * scale) for v in y)
 
 
 def solve_scaled(a: list[list[int]], rhs: list[int]) -> tuple[int, list[int]] | None:
     """Integer solve of ``a @ x = rhs``: returns (d, y) with x = y / d.
 
-    Bareiss forward elimination followed by integer back-substitution; d is
-    the final pivot (the determinant up to row-swap sign), and every y_i is
-    an integer by Cramer's rule.  Mutates ``a``.  Returns None when the
-    matrix is singular.  This is the hot path of support enumeration, hence
-    the plain list-of-lists surface and the all-integer arithmetic.
+    d is det(a) and y = adj(a) @ rhs, integral by Cramer's rule.  Mutates
+    ``a``.  Returns None when the matrix is singular.  This is the hot path
+    of support enumeration, hence the plain list-of-lists surface and the
+    all-integer arithmetic.
     """
-    n = len(a)
-    for i in range(n):
-        a[i].append(rhs[i])
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    break
-            else:
-                return None
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            lead = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    d = a[n - 1][n - 1]
-    if d == 0:
-        return None
-    y = [0] * n
-    y[n - 1] = a[n - 1][n]
-    for i in range(n - 2, -1, -1):
-        row = a[i]
-        acc = row[n] * d
-        for j in range(i + 1, n):
-            acc -= row[j] * y[j]
-        q, r = divmod(acc, row[i])
-        if r:
-            raise ArithmeticError("scaled back-substitution must divide exactly")
-        y[i] = q
-    return d, y
-
-
-def solve_int(a: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """Exact rational solution of an integer system, or None if singular."""
-    scaled = solve_scaled(a, rhs)
-    if scaled is None:
-        return None
-    d, y = scaled
-    return [Fraction(v, d) for v in y]
+    d, y = _eliminate(a, rhs)
+    return (d, y) if d else None
 
 
 def mat_vec(m: IntMatrix, v: Sequence[Rational]) -> tuple[Fraction, ...]:
@@ -237,8 +226,3 @@ def mat_vec(m: IntMatrix, v: Sequence[Rational]) -> tuple[Fraction, ...]:
         for row in m.rows
     )
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

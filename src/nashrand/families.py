@@ -317,7 +317,8 @@ def prime_block_ne(num_primes: int) -> tuple[Profile, int]:
         numerators.extend([prod // p] * (p + 1))
     numerators.append(prod)
     total = sum(numerators)
-    assert total == c1
+    if total != c1:
+        raise AssertionError("numerators must sum to the closed-form denominator")
     x = MixedStrategy(tuple(numerators), total)
     profile = Profile(x, uniform(len(numerators)))
     return profile, c1
@@ -532,7 +533,8 @@ def two_by_two_complexities(game: Game) -> tuple[int, int]:
     if a[0][0] < a[1][0]:
         a.reverse()
         b.reverse()
-    assert a[0][0] > a[1][0], "orientation must be strict without pure NEs"
+    if a[0][0] <= a[1][0]:
+        raise AssertionError("orientation must be strict without pure NEs")
     c1 = (b[0][1] - b[0][0] + b[1][0] - b[1][1]) // math.gcd(
         b[0][1] - b[0][0], b[1][0] - b[1][1]
     )

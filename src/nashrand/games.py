@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotADistribution
@@ -143,40 +144,28 @@ class Profile:
         return self.x.n
 
 
-def payoff_vectors(
-    game: Game, profile: Profile
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """(A y, x^T B): row player's payoff per row, column player's per column."""
-    y = profile.y.probabilities()
-    x = profile.x.probabilities()
-    a_y = tuple(
-        sum((row[j] * y[j] for j in range(game.n)), Fraction(0))
-        for row in game.A.rows
-    )
-    xt_b = tuple(
-        sum((x[i] * game.B.rows[i][j] for i in range(game.n)), Fraction(0))
-        for j in range(game.n)
-    )
-    return a_y, xt_b
-
-
 def is_nash(game: Game, profile: Profile) -> bool:
     """Exact mutual best-response check.
 
     Only pure unilateral deviations need to be considered: every pure
     strategy in a player's support must attain the maximum payoff against
-    the opponent's strategy.
+    the opponent's strategy.  Payoffs are compared scaled by the opponent's
+    positive denominator, A q and p^T B on the integer numerators, so no
+    rational arithmetic is needed.
     """
     if game.n != profile.n:
         raise DimensionMismatch("profile does not match game dimension")
-    a_y, xt_b = payoff_vectors(game, profile)
-    best_row = max(a_y)
-    best_col = max(xt_b)
+    p = profile.x.numerators
+    q = profile.y.numerators
+    a_q = [sum(map(mul, row, q)) for row in game.A.rows]
+    pt_b = [sum(map(mul, p, col)) for col in zip(*game.B.rows)]
+    best_row = max(a_q)
+    best_col = max(pt_b)
     for i in profile.x.support():
-        if a_y[i - 1] != best_row:
+        if a_q[i - 1] != best_row:
             return False
     for j in profile.y.support():
-        if xt_b[j - 1] != best_col:
+        if pt_b[j - 1] != best_col:
             return False
     return True
 

@@ -125,12 +125,12 @@ def analyze(sampler: DdgSampler, depth: int) -> AnalyzeReport:
         hi = thresholds[i] * pow2 // q           # floor
         resolved.append(Fraction(max(0, hi - lo), pow2))
     tail = 1 - sum(resolved)
-    report = AnalyzeReport(depth, tuple(resolved), tail, expected)
     probs = sampler.target.probabilities()
-    for r, p in zip(report.resolved, probs):
-        assert abs(r - p) <= report.tail
-    assert report.tail <= Fraction(n, pow2)
-    return report
+    if any(abs(r - p) > tail for r, p in zip(resolved, probs)):
+        raise ArithmeticError("resolved mass is off by more than the tail")
+    if tail > Fraction(n, pow2):
+        raise ArithmeticError("tail mass exceeds n * 2^-depth")
+    return AnalyzeReport(depth, tuple(resolved), tail, expected)
 
 
 def _alive_mass(thresholds: tuple[int, ...], q: int, d: int) -> Fraction:

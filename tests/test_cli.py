@@ -204,6 +204,20 @@ def test_recurrence_rows(capsys):
     assert lines[-1].startswith("# identities verified")
 
 
+def test_recurrence_identity_failure_exits_three(monkeypatch, capsys):
+    # the check must survive python -O and end in the hypothesis exit code
+    from nashrand import families
+
+    good = families.recurrence_table(9)
+    bad_a = (good.a_values[0] + 1,) + good.a_values[1:]
+    bad = families.RecurrenceTable(
+        good.upto, bad_a, good.b_values, good.det_b_values, good.g_values
+    )
+    monkeypatch.setattr(families, "recurrence_table", lambda upto: bad)
+    assert main(["recurrence", "--to", "9"]) == 3
+    assert "a(n) = b(n) + b(n+1) fails at n=1" in capsys.readouterr().err
+
+
 def test_sample_command(tmp_path, capsys):
     dist_path = tmp_path / "u8.json"
     from nashrand.games import uniform

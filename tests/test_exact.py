@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -7,14 +8,38 @@ from conftest import random_binary_matrix, random_int_matrix
 from nashrand.errors import SingularMatrix
 from nashrand.exact import (
     IntMatrix,
+    _eliminate,
     cofactor_sum,
     det,
-    det_cofactor_expansion,
     mat_vec,
     replace_column,
     solve_exact,
 )
-from nashrand.families import beta_matrix, block_matrix
+from nashrand.families import beta_matrix, block_matrix, prime_block_game
+
+
+def det_cofactor_expansion(m: IntMatrix) -> int:
+    """Determinant by first-row cofactor expansion.
+
+    Factorial cost; an oracle independent of the elimination kernel.
+    """
+    return _det_expand(m.rows)
+
+
+def _det_expand(rows: tuple[tuple[int, ...], ...]) -> int:
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    rest = rows[1:]
+    for j, v in enumerate(rows[0]):
+        if v == 0:
+            continue
+        minor = tuple(r[:j] + r[j + 1:] for r in rest)
+        total += (-1) ** j * v * _det_expand(minor)
+    return total
 
 
 def test_det_identity():
@@ -39,6 +64,61 @@ def test_det_matches_cofactor_expansion_on_random_matrices():
     for _ in range(60):
         m = random_int_matrix(rng, rng.randint(1, 5), -4, 4)
         assert det(m) == det_cofactor_expansion(m)
+
+
+# Zero-lead patterns worked by hand.  In the first, the second row is skipped
+# at the first step and rescaled by the pivot 2 when it becomes the pivot
+# row; in the second, two skipped rows are swapped, and the last row is
+# rescaled by the pivot 6.
+DEFERRED_CASES = (
+    ((2, 1, 0), (0, 3, 1), (1, 1, 1)),
+    ((2, 0, 1), (0, 0, 1), (0, 3, 0)),
+)
+
+
+def _random_rows(rng: random.Random, n: int, density: float) -> list[list[int]]:
+    return [
+        [rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def _kernel_cases(rng: random.Random) -> list[IntMatrix]:
+    """Matrices up to 7x7: dense and sparse, upper triangular with shuffled
+    rows (zero leads that force row swaps and deferred rescaling), and
+    singular ones (a row that is a multiple of another)."""
+    cases = [IntMatrix(rows) for rows in DEFERRED_CASES]
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        rows = _random_rows(rng, n, rng.choice((0.2, 0.4, 0.7, 1.0)))
+        shape = rng.random()
+        if shape < 0.25:
+            rows = [[v if j >= i else 0 for j, v in enumerate(r)]
+                    for i, r in enumerate(rows)]
+            rng.shuffle(rows)
+        elif shape < 0.4 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [2 * v for v in rows[j]]
+        cases.append(IntMatrix(rows))
+    return cases
+
+
+def test_eliminate_matches_cofactor_expansion():
+    rng = random.Random(4242)
+    singular = 0
+    for m in _kernel_cases(rng):
+        d = det_cofactor_expansion(m)
+        assert det(m) == d
+        rhs = [rng.randint(-5, 5) for _ in range(m.n)]
+        got, y = _eliminate([list(r) for r in m.rows], rhs)
+        assert got == d
+        if d == 0:
+            assert y is None
+            singular += 1
+        else:
+            # y = adj(m) @ rhs, so m @ y = det(m) * rhs
+            assert [sum(map(mul, r, y)) for r in m.rows] == [d * v for v in rhs]
+    assert singular >= 20
 
 
 def test_det_transpose_and_column_swap():
@@ -115,6 +195,14 @@ def test_cofactor_sum_solve_shortcut_agrees():
             continue
         assert cofactor_sum(m, method="solve") == cofactor_sum(m)
         checked += 1
+    structured = [beta_matrix(n) for n in range(2, 31)]
+    structured += [prime_block_game(k).B for k in range(1, 5)]
+    while len(structured) < 33 + 40:
+        rows = _random_rows(rng, rng.randint(1, 6), rng.choice((0.3, 0.6, 1.0)))
+        if det(IntMatrix(rows)):
+            structured.append(IntMatrix(rows))
+    for m in structured:
+        assert cofactor_sum(m, method="solve") == cofactor_sum(m)
 
 
 def test_cofactor_sum_solve_needs_invertible():

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import X1_NUMERATORS, coordination_game, random_int_matrix
+from conftest import (
+    X1_NUMERATORS,
+    coordination_game,
+    random_binary_matrix,
+    random_int_matrix,
+)
 from nashrand.errors import NotADistribution
 from nashrand.exact import IntMatrix
 from nashrand.families import beta_game, beta_ne
@@ -157,6 +162,29 @@ def test_is_nash_agrees_with_deviation_check():
         y = canonicalize([v / sum(raw) for v in raw])
         profile = Profile(x, y)
         assert is_nash(game, profile) == _is_nash_by_deviation(game, profile)
+    # binary games are full of payoff ties: every pure profile, and profiles
+    # uniform on random supports, go against the same Fraction reference
+    accepted = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        game = Game(random_binary_matrix(rng, n), random_binary_matrix(rng, n))
+        profiles = [
+            Profile(pure(n, i), pure(n, j))
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        ]
+        for _ in range(5):
+            strategies = []
+            for _ in range(2):
+                support = rng.sample(range(n), rng.randint(1, n))
+                numerators = tuple(int(i in support) for i in range(n))
+                strategies.append(MixedStrategy(numerators, len(support)))
+            profiles.append(Profile(*strategies))
+        for profile in profiles:
+            expected = _is_nash_by_deviation(game, profile)
+            assert is_nash(game, profile) == expected
+            accepted += expected
+    assert accepted >= 50
 
 
 def test_capability_admissible():
