@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Exact sampling from rational distributions, counting every random bit.
 
-A sampler refines the dyadic interval of an imaginary uniform variate one
-fair bit at a time and stops as soon as the interval fits inside one
-outcome's probability bucket.  Frequencies are exact in the limit and the
-expected bit consumption sits within two bits of the entropy.
+A Knuth-Yao sampler walks a binary tree one fair bit at a time and stops at
+a leaf; level d has a leaf for each outcome whose d-th binary digit of p_i/q
+is 1.  Frequencies are exact, and the expected bit consumption is the least
+any exact sampler achieves, within two bits of the entropy.
 """
 
-from nashrand import BitSource, analyze, beta_ne, build_sampler, entropy, uniform
+from nashrand import BitSource, DdgSampler, analyze, beta_ne, entropy, uniform
 
 x = beta_ne(8)[0].x
 print(f"target distribution: {x.numerators} / {x.denominator}")
 print(f"entropy H = {entropy(x):.6f} bits")
 
-sampler = build_sampler(x)
+sampler = DdgSampler(x)
 report = analyze(sampler, depth=64)
 print(f"\nresolution analysis to depth 64:")
 print(f"  unresolved tail mass: {float(report.tail):.3e}"
@@ -34,7 +34,7 @@ print(f"bits consumed: {bits.bits_consumed}"
       f" = {bits.bits_consumed / draws:.4f} per draw")
 
 print("\ndyadic targets resolve with zero waste:")
-u8 = build_sampler(uniform(8))
+u8 = DdgSampler(uniform(8))
 b = BitSource(seed=1)
 for _ in range(1000):
     u8.sample(b)

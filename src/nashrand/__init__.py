@@ -8,6 +8,7 @@ equilibria have extreme denominators, and a bit-exact sampler.
 """
 
 from .errors import (
+    DepthTooLarge,
     DimensionMismatch,
     DimensionTooLarge,
     HasPureNE,
@@ -61,7 +62,7 @@ from .games import (
     storage_bits,
     uniform,
 )
-from .sampling import AnalyzeReport, BitSource, DdgSampler, analyze, build_sampler
+from .sampling import AnalyzeReport, BitSource, DdgSampler, analyze
 from .solving import (
     SolveReport,
     SupportPair,

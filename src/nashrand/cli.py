@@ -16,6 +16,7 @@ import time
 
 from . import families
 from .errors import (
+    DepthTooLarge,
     DimensionMismatch,
     DimensionTooLarge,
     HasPureNE,
@@ -37,7 +38,7 @@ from .games import (
     storage_bits,
     strategy_to_json,
 )
-from .sampling import BitSource, analyze, build_sampler
+from .sampling import BitSource, DdgSampler, analyze
 from .serialize import (
     dumps_game,
     load_distribution,
@@ -274,7 +275,7 @@ def cmd_recurrence(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     dist = load_distribution(args.dist)
-    sampler = build_sampler(dist)
+    sampler = DdgSampler(dist)
     bits = BitSource(args.seed)
     counts = [0] * dist.n
     for _ in range(args.count):
@@ -293,7 +294,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     dist = load_distribution(args.dist)
-    report = analyze(build_sampler(dist), args.depth)
+    report = analyze(DdgSampler(dist), args.depth)
     payload = {
         "depth": report.depth,
         "resolved": [f"{r.numerator}/{r.denominator}" for r in report.resolved],
@@ -402,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     except (HypothesisViolation, SymmetryViolation, HasPureNE) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
-    except (DimensionTooLarge, SamplerStall) as exc:
+    except (DimensionTooLarge, DepthTooLarge, SamplerStall) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 4
 

@@ -17,6 +17,10 @@ class DimensionTooLarge(NashrandError):
     """Game dimension exceeds the configured enumeration limit."""
 
 
+class DepthTooLarge(NashrandError):
+    """Analysis depth exceeds the sampler's hard depth cap."""
+
+
 class NoEquilibriumFound(NashrandError):
     """Enumeration finished without equilibria (only possible when capped)."""
 

@@ -10,7 +10,6 @@ fixed key order, trailing newline.  Golden files depend on that.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
@@ -122,7 +121,3 @@ def parse_profile(text: str) -> Profile:
 def load_profile(path: str) -> Profile:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_profile(fh.read())
-
-
-def fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)

@@ -39,7 +39,7 @@ from nashrand.games import (
     entropy,
     uniform,
 )
-from nashrand.sampling import BitSource, analyze, build_sampler
+from nashrand.sampling import BitSource, DdgSampler, analyze
 from nashrand.solving import (
     _enumerate,
     bounded_ne_exists,
@@ -300,13 +300,13 @@ def test_criterion_11_sampler_accounting():
     ]
     ok = True
     for dist in distributions:
-        report = analyze(build_sampler(dist), 64)
+        report = analyze(DdgSampler(dist), 64)
         h = entropy(dist)
         ok = ok and report.tail <= Fraction(dist.n, 2**64)
         for r, p in zip(report.resolved, dist.probabilities()):
             ok = ok and abs(r - p) <= Fraction(dist.n, 2**64)
         ok = ok and h - 1e-9 <= report.expected_bits <= h + 2
-    sampler = build_sampler(x1)
+    sampler = DdgSampler(x1)
     bits = BitSource(42)
     counts = [0] * 8
     draws = 100_000

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from conftest import DATA, GOLDEN, X1_NUMERATORS, Y2_NUMERATORS
 from nashrand.cli import main
@@ -256,6 +257,18 @@ def test_analyze_command(tmp_path, capsys):
     assert payload["depth"] == 64
     num, den = payload["tail"].split("/")
     assert int(num) / int(den) <= 8 / 2**64
+
+
+def test_analyze_refuses_depth_beyond_cap(tmp_path, capsys):
+    profile, _ = beta_ne(8)
+    dist_path = tmp_path / "x1.json"
+    dist_path.write_text(dumps_distribution(profile.x))
+    start = time.perf_counter()
+    rc = main(["analyze", str(dist_path), "--depth", "100000"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "depth 100000" in err and "cap 4096" in err and "800000" in err
 
 
 def test_bound_command(capsys):
