@@ -23,7 +23,7 @@ from .errors import (
     UnknownFamily,
     UnsupportedDimension,
 )
-from .exact import IntMatrix, cofactor_sum, det, mat_vec, replace_column, solve_exact
+from .exact import IntMatrix, cofactor_sum, det, solve_exact
 from .families import (
     AsymptoticReport,
     Permutation,
@@ -65,12 +65,10 @@ from .games import (
 from .sampling import AnalyzeReport, BitSource, DdgSampler, analyze
 from .solving import (
     SolveReport,
-    SupportPair,
     bounded_ne_exists,
     complexity_upper_bound,
     fully_mixed_ne,
     min_complexities,
-    profile_supports,
     pure_nash,
     support_enumeration,
 )

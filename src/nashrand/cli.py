@@ -28,7 +28,7 @@ from .errors import (
     UnknownFamily,
     UnsupportedDimension,
 )
-from .exact import cofactor_sum, det
+from .exact import eliminate
 from .games import (
     Game,
     capability_admissible,
@@ -36,7 +36,6 @@ from .games import (
     entropy,
     is_nash,
     storage_bits,
-    strategy_to_json,
 )
 from .sampling import BitSource, DdgSampler, analyze
 from .serialize import (
@@ -44,19 +43,36 @@ from .serialize import (
     load_distribution,
     load_game,
     load_profile,
+    strategy_to_json,
 )
 from .solving import complexity_upper_bound, support_enumeration
 
-GEN_FAMILIES = (
-    "beta",
-    "primeblock",
-    "permutation",
-    "constsum-beta",
-    "constsum-primeblock",
-    "example1",
-    "example2",
-)
-SCAN_FAMILIES = ("beta", "primeblock", "constsum-beta", "constsum-primeblock")
+
+def _permutation_game(n: int) -> Game:
+    if n < 1:
+        raise UnsupportedDimension("permutation family needs n >= 1")
+    pi = families.Permutation.identity(n)
+    return families.permutation_game(pi, families.Permutation.forward_cycle(n))[0]
+
+
+_GENERATORS = {
+    "beta": families.beta_game,
+    "primeblock": families.prime_block_game,
+    "permutation": _permutation_game,
+    "constsum-beta": lambda n: families.constant_sum_beta(n)[0],
+    "constsum-primeblock": lambda n: families.constant_sum_prime_block(n)[0],
+}
+# the paper's two showcase games: a family game at n = 8, retagged
+_EXAMPLES = {"example1": "beta", "example2": "constsum-beta"}
+GEN_FAMILIES = (*_GENERATORS, *_EXAMPLES)
+# closed-form (profile, C_1) of each family scan covers
+_SCAN_FORMS = {
+    "beta": families.beta_ne,
+    "primeblock": families.prime_block_ne,
+    "constsum-beta": lambda n: families.constant_sum_beta(n)[1:],
+    "constsum-primeblock": lambda n: families.constant_sum_prime_block(n)[1:],
+}
+SCAN_FAMILIES = tuple(_SCAN_FORMS)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -68,37 +84,16 @@ def _write(text: str, out: str | None) -> None:
 
 
 def generate_family(family: str, n: int | None) -> Game:
-    if family == "example1":
+    if family in _EXAMPLES:
         if n not in (None, 8):
-            raise UnsupportedDimension("example1 is fixed at n = 8")
-        game = families.beta_game(8)
-        return Game(game.A, game.B, family_tag="example1")
-    if family == "example2":
-        if n not in (None, 8):
-            raise UnsupportedDimension("example2 is fixed at n = 8")
-        rev = families.Permutation.reversal(8)
-        game = families.constant_sum_transform(families.beta_game(8), rev, rev)
-        return Game(game.A, game.B, family_tag="example2", constant_sum=1)
+            raise UnsupportedDimension(f"{family} is fixed at n = 8")
+        game = _GENERATORS[_EXAMPLES[family]](8)
+        return Game(game.A, game.B, family_tag=family, constant_sum=game.constant_sum)
+    if family not in _GENERATORS:
+        raise UnknownFamily(f"unknown family {family!r}; choose from {GEN_FAMILIES}")
     if n is None:
         raise UnsupportedDimension(f"family {family!r} requires --n")
-    if family == "beta":
-        return families.beta_game(n)
-    if family == "primeblock":
-        return families.prime_block_game(n)
-    if family == "permutation":
-        if n < 1:
-            raise UnsupportedDimension("permutation family needs n >= 1")
-        pi = families.Permutation.identity(n)
-        tau = families.Permutation.forward_cycle(n)
-        game, _ = families.permutation_game(pi, tau)
-        return game
-    if family == "constsum-beta":
-        game, _, _ = families.constant_sum_beta(n)
-        return game
-    if family == "constsum-primeblock":
-        game, _, _ = families.constant_sum_prime_block(n)
-        return game
-    raise UnknownFamily(f"unknown family {family!r}; choose from {GEN_FAMILIES}")
+    return _GENERATORS[family](n)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -187,44 +182,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _scan_row(family: str, n: int) -> dict:
-    start = time.perf_counter()
-    if family == "beta":
-        profile, c1 = families.beta_ne(n)
-        c2 = n
-        table = families.recurrence_table(n)
-        g = table.g(n)
-        absdet = 2 * abs(table.b(n)) + abs(table.a(n))
-        abs_k = c1 * g
-    elif family == "constsum-beta":
-        _, profile, c1 = families.constant_sum_beta(n)
-        c2 = c1
-        table = families.recurrence_table(n)
-        g = table.g(n)
-        absdet = 2 * abs(table.b(n)) + abs(table.a(n))
-        abs_k = c1 * g
-    elif family == "primeblock":
-        profile, c1 = families.prime_block_ne(n)
-        c2 = profile.y.n
-        g = None
-        b = families.prime_block_game(n).B
-        absdet = abs(det(b))
-        abs_k = abs(cofactor_sum(b, method="solve"))
-    elif family == "constsum-primeblock":
-        _, profile, c1 = families.constant_sum_prime_block(n)
-        c2 = c1
-        g = None
-        b = families.prime_block_game(n).B
-        absdet = abs(det(b))
-        abs_k = abs(cofactor_sum(b, method="solve"))
-    else:
+    if family not in _SCAN_FORMS:
         raise UnknownFamily(
             f"family {family!r} has no closed-form scan; choose from {SCAN_FAMILIES}"
         )
+    start = time.perf_counter()
+    profile, c1 = _SCAN_FORMS[family](n)
+    if family.endswith("beta"):
+        table = families.recurrence_table(n)
+        g = table.g(n)
+        absdet = 2 * abs(table.b(n)) + abs(table.a(n))
+        abs_k = c1 * g
+    else:
+        g = None
+        b = families.prime_block_game(n).B
+        d, y = eliminate([list(row) for row in b.rows], [1] * b.n)
+        absdet = abs(d)
+        abs_k = abs(sum(y))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return {
         "n": profile.x.n,
         "c1": c1,
-        "c2": c2,
+        "c2": complexity(profile.y),
         "log2_c1_over_n": math.log2(c1) / profile.x.n if c1 >= 1 else 0.0,
         "g_n": g,
         "abs_det": absdet,
@@ -397,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, NotADistribution, UnknownFamily, UnsupportedDimension,
-            DimensionMismatch, FileNotFoundError, ValueError) as exc:
+            DimensionMismatch, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (HypothesisViolation, SymmetryViolation, HasPureNE) as exc:

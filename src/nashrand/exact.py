@@ -3,7 +3,7 @@
 Everything here is computed with unbounded Python integers and
 ``fractions.Fraction``; no floating point is involved.  Determinants,
 solves and cofactor sums all run through one fraction-free (Bareiss)
-elimination, ``_eliminate``, which keeps intermediate entries integral and
+elimination, ``eliminate``, which keeps intermediate entries integral and
 divisions exact, so matrices of a few hundred rows stay cheap.
 
 Bareiss step k replaces each row i below the pivot p_k by
@@ -21,8 +21,13 @@ row, or last row) one rescale ``v * prev // base[i]`` restores it, and the
 division is exact because the result is a minor.  Sparse and banded
 matrices thus skip most of the arithmetic.
 
-Column indices at the public API are 1-based, matching the usual
-linear-algebra convention for "replace column i".
+The cofactor sum K(M) = 1^T adj(M) 1 comes from the same kernel by the
+matrix determinant lemma det(M + 1 1^T) = det(M) + 1^T adj(M) 1: when
+det(M) != 0 it is the entry sum of adj(M) @ 1, and otherwise it is
+det(M + J), with J the all-ones matrix.
+
+``IntMatrix.entry`` and ``IntMatrix.column`` take 1-based indices, the
+usual linear-algebra convention.
 """
 
 from __future__ import annotations
@@ -83,10 +88,10 @@ class IntMatrix:
 
 def det(m: IntMatrix) -> int:
     """Exact determinant; the empty 0x0 matrix has determinant 1."""
-    return _eliminate([list(row) for row in m.rows])[0]
+    return eliminate([list(row) for row in m.rows])[0]
 
 
-def _eliminate(
+def eliminate(
     a: list[list[int]], rhs: Sequence[int] | None = None
 ) -> tuple[int, list[int] | None]:
     """Bareiss elimination of ``a``: the one kernel behind this module.
@@ -95,6 +100,9 @@ def _eliminate(
     integer vector adj(a) @ rhs, so x = y / det(a) solves ``a @ x = rhs``;
     otherwise y is None.  Mutates ``a``: rows are swapped, rescaled and
     extended by ``rhs``.
+
+    The list-of-lists surface lets support enumeration call this directly
+    on its hot path.
 
     Rows whose lead is zero at step k are left unscaled, as the module
     docstring describes.  A zero test on such a row is still exact, because
@@ -156,38 +164,19 @@ def _eliminate(
     return d, y
 
 
-def replace_column(m: IntMatrix, i: int, column: Sequence[int]) -> IntMatrix:
-    """Copy of ``m`` with 1-based column ``i`` replaced by ``column``."""
-    if not 1 <= i <= m.n:
-        raise IndexError(f"column index {i} out of range 1..{m.n}")
-    col = [int(v) for v in column]
-    if len(col) != m.n:
-        raise ValueError(f"replacement column has length {len(col)}, need {m.n}")
-    j = i - 1
-    return IntMatrix(
-        row[:j] + (col[r],) + row[j + 1:] for r, row in enumerate(m.rows)
-    )
+def cofactor_sum(m: IntMatrix, *, method: str = "solve") -> int:
+    """Sum of all cofactors of ``m``, 1^T adj(m) 1, at cubic cost.
 
-
-def cofactor_sum(m: IntMatrix, *, method: str = "definition") -> int:
-    """Sum of all cofactors of ``m``.
-
-    Equals the sum over columns of the determinant after replacing that
-    column with all-ones.  ``method="definition"`` evaluates those n
-    determinants; ``method="solve"`` uses one elimination instead (valid
-    only for invertible input, cubic instead of quartic cost): the sum is
-    1^T adj(m) 1, the entry sum of y = adj(m) @ 1.
+    Invertible ``m``: the entry sum of y = adj(m) @ 1.  Singular ``m``:
+    det(m + J), which the determinant lemma in the module docstring makes
+    equal.  ``method`` accepts only ``"solve"``.
     """
-    n = m.n
-    if method == "solve":
-        d, y = _eliminate([list(row) for row in m.rows], [1] * n)
-        if d == 0:
-            raise SingularMatrix("solve-based cofactor sum needs det != 0")
-        return sum(y)
-    if method != "definition":
+    if method != "solve":
         raise ValueError(f"unknown method {method!r}")
-    ones = [1] * n
-    return sum(det(replace_column(m, i, ones)) for i in range(1, n + 1))
+    d, y = eliminate([list(row) for row in m.rows], [1] * m.n)
+    if d:
+        return sum(y)
+    return eliminate([[v + 1 for v in row] for row in m.rows])[0]
 
 
 def solve_exact(m: IntMatrix, rhs: Sequence[Rational]) -> tuple[Fraction, ...]:
@@ -201,28 +190,7 @@ def solve_exact(m: IntMatrix, rhs: Sequence[Rational]) -> tuple[Fraction, ...]:
     b = [Fraction(v) for v in rhs]
     scale = math.lcm(*(v.denominator for v in b))
     b_int = [int(v * scale) for v in b]
-    d, y = _eliminate([list(row) for row in m.rows], b_int)
+    d, y = eliminate([list(row) for row in m.rows], b_int)
     if d == 0:
         raise SingularMatrix("matrix has determinant zero")
     return tuple(Fraction(v, d * scale) for v in y)
-
-
-def solve_scaled(a: list[list[int]], rhs: list[int]) -> tuple[int, list[int]] | None:
-    """Integer solve of ``a @ x = rhs``: returns (d, y) with x = y / d.
-
-    d is det(a) and y = adj(a) @ rhs, integral by Cramer's rule.  Mutates
-    ``a``.  Returns None when the matrix is singular.  This is the hot path
-    of support enumeration, hence the plain list-of-lists surface and the
-    all-integer arithmetic.
-    """
-    d, y = _eliminate(a, rhs)
-    return (d, y) if d else None
-
-
-def mat_vec(m: IntMatrix, v: Sequence[Rational]) -> tuple[Fraction, ...]:
-    """m @ v with exact rationals."""
-    return tuple(
-        sum((Fraction(row[j]) * v[j] for j in range(m.n)), Fraction(0))
-        for row in m.rows
-    )
-

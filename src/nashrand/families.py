@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import HasPureNE, HypothesisViolation, SymmetryViolation, UnsupportedDimension
-from .exact import IntMatrix, cofactor_sum, det
-from .games import Game, MixedStrategy, Profile, canonicalize, complexity, uniform
+from .exact import IntMatrix, cofactor_sum, eliminate
+from .games import Game, MixedStrategy, Profile, uniform
 
 # ---------------------------------------------------------------------------
 # primes
@@ -402,10 +402,10 @@ def beta_ne(n: int) -> tuple[Profile, int]:
     raw = coords[1:]
     if any(v <= 0 for v in raw):
         raise AssertionError("closed-form coordinates must be positive")
-    total = sum(raw)
-    x = canonicalize([Fraction(v, total) for v in raw])
-    c1 = complexity(x)
-    k_abs = abs(cofactor_sum(beta_matrix(n), method="solve"))
+    g = math.gcd(*raw)
+    x = MixedStrategy(tuple([v // g for v in raw]), sum(raw) // g)
+    c1 = x.denominator
+    k_abs = abs(cofactor_sum(beta_matrix(n)))
     if c1 * t.g(n) != k_abs:
         raise AssertionError("denominator disagrees with cofactor sum / gcd")
     return Profile(x, uniform(n)), c1
@@ -421,10 +421,10 @@ def is_symmetric_under(b: IntMatrix, pi: Permutation, tau: Permutation) -> bool:
     if pi.n != n or tau.n != n:
         return False
     rows = b.rows
+    p = [j - 1 for j in pi.mapping]
     return all(
-        rows[j][i] == rows[tau(i + 1) - 1][pi(j + 1) - 1]
-        for i in range(n)
-        for j in range(n)
+        col == tuple([rows[t - 1][j] for j in p])
+        for col, t in zip(zip(*rows), tau.mapping)
     )
 
 
@@ -440,10 +440,10 @@ def constant_sum_transform(game: Game, pi: Permutation, tau: Permutation) -> Gam
         raise HypothesisViolation("row player payoffs must be the identity")
     if not is_symmetric_under(game.B, pi, tau):
         raise SymmetryViolation("payoffs are not symmetric under (pi, tau)")
-    d = det(game.B)
-    if d == 0:
+    d, y = eliminate([list(row) for row in game.B.rows], [1] * n)
+    if not d:
         raise HypothesisViolation("payoff matrix must be invertible")
-    if cofactor_sum(game.B, method="solve") == d:
+    if sum(y) == d:
         raise HypothesisViolation("cofactor sum equals determinant")
     a_rows = [[1 - v for v in row] for row in game.B.rows]
     tag = f"constsum-{game.family_tag}" if game.family_tag else "constsum"

@@ -63,9 +63,7 @@ def canonicalize(raw: Sequence[Rational]) -> MixedStrategy:
         raise NotADistribution("negative probability")
     if sum(probs) != 1:
         raise NotADistribution(f"probabilities sum to {sum(probs)}, not 1")
-    q = 1
-    for p in probs:
-        q = q * p.denominator // math.gcd(q, p.denominator)
+    q = math.lcm(*(p.denominator for p in probs))
     nums = [int(p * q) for p in probs]
     g = math.gcd(*nums)
     return MixedStrategy(tuple(p // g for p in nums), q // g)
@@ -168,25 +166,3 @@ def is_nash(game: Game, profile: Profile) -> bool:
         if pt_b[j - 1] != best_col:
             return False
     return True
-
-
-def strategy_to_json(x: MixedStrategy) -> dict:
-    """Big integers travel as decimal strings so no consumer rounds them."""
-    return {
-        "numerators": [str(p) for p in x.numerators],
-        "denominator": str(x.denominator),
-    }
-
-
-def strategy_from_json(obj: dict) -> MixedStrategy:
-    from .errors import ParseError
-
-    try:
-        nums = tuple(int(s) for s in obj["numerators"])
-        den = int(obj["denominator"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad distribution object: {exc}") from exc
-    try:
-        return MixedStrategy(nums, den)
-    except NotADistribution as exc:
-        raise ParseError(f"bad distribution object: {exc}") from exc

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ParseError
+from .errors import NotADistribution, ParseError
 from .exact import IntMatrix
-from .games import Game, MixedStrategy, Profile, strategy_from_json, strategy_to_json
+from .games import Game, MixedStrategy, Profile
 
 
 def dumps_game(game: Game) -> str:
@@ -39,6 +39,52 @@ def _loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+
+
+def _is_int(v: Any) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def strategy_to_json(x: MixedStrategy) -> dict:
+    """Big integers travel as decimal strings so no consumer rounds them."""
+    return {
+        "numerators": [str(p) for p in x.numerators],
+        "denominator": str(x.denominator),
+    }
+
+
+def _big_int(v: Any, field: str) -> int:
+    """A decimal string, as written above, or a plain JSON integer."""
+    if _is_int(v):
+        return v
+    if not isinstance(v, str):
+        kind = type(v).__name__
+        raise ParseError(f"field {field!r}: expected a decimal string, got {kind}")
+    try:
+        return int(v)
+    except ValueError as exc:
+        raise ParseError(f"field {field!r}: {exc}") from None
+
+
+def strategy_from_json(obj: Any) -> MixedStrategy:
+    if not isinstance(obj, dict):
+        raise ParseError("a distribution must be an object")
+    nums = obj.get("numerators")
+    if not isinstance(nums, list):
+        kind = type(nums).__name__
+        raise ParseError(f"field 'numerators': expected a list, got {kind}")
+    if "denominator" not in obj:
+        raise ParseError("field 'denominator' is missing")
+    try:
+        return MixedStrategy(
+            tuple([_big_int(v, "numerators") for v in nums]),
+            _big_int(obj["denominator"], "denominator"),
+        )
+    except NotADistribution as exc:
+        raise ParseError(f"bad distribution object: {exc}") from exc
 
 
 def _int_matrix(obj: Any, field: str, n: int) -> IntMatrix:
@@ -48,7 +94,7 @@ def _int_matrix(obj: Any, field: str, n: int) -> IntMatrix:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"field {field!r}, row {r + 1}: expected {n} entries")
         for c, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise ParseError(
                     f"field {field!r}, row {r + 1}, column {c + 1}: "
                     f"payoffs must be integers, got {v!r}"
@@ -64,7 +110,7 @@ def parse_game(text: str) -> Game:
         n = obj["n"]
     except KeyError:
         raise ParseError("field 'n' is missing")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParseError(f"field 'n': expected a positive integer, got {n!r}")
     if "A" not in obj or "B" not in obj:
         raise ParseError("fields 'A' and 'B' are required")
@@ -74,7 +120,7 @@ def parse_game(text: str) -> Game:
     if tag is not None and not isinstance(tag, str):
         raise ParseError("field 'family_tag': expected a string or null")
     cs = obj.get("constant_sum")
-    if cs is not None and (not isinstance(cs, int) or isinstance(cs, bool)):
+    if cs is not None and not _is_int(cs):
         raise ParseError("field 'constant_sum': expected an integer or null")
     try:
         return Game(a, b, family_tag=tag, constant_sum=cs)

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DimensionTooLarge, NoEquilibriumFound
-from .exact import solve_exact, solve_scaled
+from .exact import eliminate, solve_exact
 from .games import (
     Game,
     MixedStrategy,
@@ -67,14 +67,6 @@ def resolve_max_n(max_n: int | None = None) -> int:
         except ValueError:
             raise ValueError(f"{MAX_N_ENV} must be an integer, got {env!r}")
     return DEFAULT_MAX_N
-
-
-@dataclass(frozen=True)
-class SupportPair:
-    """1-based supports of a candidate equilibrium."""
-
-    I: tuple[int, ...]
-    J: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -117,8 +109,8 @@ def support_enumeration(game: Game, max_n: int | None = None) -> SolveReport:
 
 @lru_cache(maxsize=128)
 def _enumerate(game: Game) -> SolveReport:
-    # All candidate tests run on integers: solve_scaled returns the solution
-    # as (denominator d, integer vector y) with probabilities y_i / d, so
+    # All candidate tests run on integers: eliminate returns the solution
+    # as (determinant d, integer vector y) with probabilities y_i / d, so
     # sign feasibility and payoff comparisons multiply through by sign(d)
     # instead of building Fractions.  Rationals appear only for accepted
     # equilibria.
@@ -142,10 +134,9 @@ def _enumerate_imitation(n: int, b: Rows) -> SolveReport:
             b_rows = [b[i] for i in S]
             m = [[row[j] for row in b_rows] + [-1] for j in S]
             m.append([1] * k + [0])
-            sol = solve_scaled(m, rhs)
-            if sol is None:
+            d, xv = eliminate(m, rhs)
+            if not d:
                 continue
-            d, xv = sol
             if d < 0:
                 xv = [-t for t in xv]
                 d = -d
@@ -197,10 +188,9 @@ def _enumerate_pairs(n: int, a: Rows, b: Rows) -> SolveReport:
                 # column player's strategy y makes rows of I indifferent
                 m1 = [[row[j] for j in J] + [-1] for row in a_rows]
                 m1.append([1] * k + [0])
-                sol_y = solve_scaled(m1, rhs)
-                if sol_y is None:
+                d1, yv = eliminate(m1, rhs)
+                if not d1:
                     continue
-                d1, yv = sol_y
                 if d1 < 0:
                     yv = [-t for t in yv]
                     d1 = -d1
@@ -209,10 +199,9 @@ def _enumerate_pairs(n: int, a: Rows, b: Rows) -> SolveReport:
                 # row player's strategy x makes columns of J indifferent
                 m2 = [[row[j] for row in b_rows] + [-1] for j in J]
                 m2.append([1] * k + [0])
-                sol_x = solve_scaled(m2, rhs)
-                if sol_x is None:
+                d2, xv = eliminate(m2, rhs)
+                if not d2:
                     continue
-                d2, xv = sol_x
                 if d2 < 0:
                     xv = [-t for t in xv]
                     d2 = -d2
@@ -269,10 +258,6 @@ def _report(
     c1 = min((complexity(p.x) for p in equilibria), default=None)
     c2 = min((complexity(p.y) for p in equilibria), default=None)
     return SolveReport(tuple(equilibria), c1, c2, degenerate, examined)
-
-
-def profile_supports(profile: Profile) -> SupportPair:
-    return SupportPair(profile.x.support(), profile.y.support())
 
 
 def min_complexities(game: Game, max_n: int | None = None) -> tuple[int, int]:

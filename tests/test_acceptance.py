@@ -14,6 +14,7 @@ from fractions import Fraction
 from conftest import (
     X1_NUMERATORS,
     Y2_NUMERATORS,
+    cofactor_sum_definition,
     random_binary_matrix,
 )
 from nashrand.errors import HasPureNE
@@ -151,7 +152,7 @@ def test_criterion_05_complexity_identity():
     ok = True
     for n in range(8, 41):
         _, c1 = beta_ne(n)
-        k = abs(cofactor_sum(beta_matrix(n)))  # n-determinant definition
+        k = abs(cofactor_sum_definition(beta_matrix(n)))  # n-determinant definition
         d = abs(det(beta_matrix(n)))
         ok = ok and c1 * t.g(n) == k
         ok = ok and 3 * k >= n * d

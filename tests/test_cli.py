@@ -291,6 +291,45 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+def _rejects(capsys, *argv) -> str:
+    """Run the CLI, require exit 2 with a one-line error, return the error."""
+    rc = main(list(argv))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_solve_directory_exits_two(tmp_path, capsys):
+    _rejects(capsys, "solve", str(tmp_path))
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert "nested too deeply" in _rejects(capsys, "solve", str(deep))
+
+
+def test_float_numerators_exit_two(tmp_path, capsys):
+    dist = tmp_path / "float.json"
+    dist.write_text('{"numerators": [1.9, 1.1], "denominator": 2}')
+    assert "float" in _rejects(capsys, "sample", str(dist), "--count", "5")
+
+
+def test_string_numerators_exit_two(tmp_path, capsys):
+    dist = tmp_path / "string.json"
+    dist.write_text('{"numerators": "12", "denominator": "3"}')
+    assert "'numerators'" in _rejects(capsys, "analyze", str(dist), "--depth", "4")
+    dist.write_text('{"numerators": ["1", "x2"], "denominator": "3"}')
+    assert "'x2'" in _rejects(capsys, "analyze", str(dist), "--depth", "4")
+
+
+def test_boolean_dimension_exits_two(tmp_path, capsys):
+    game = tmp_path / "bool.json"
+    game.write_text('{"n": true, "A": [[1]], "B": [[1]]}')
+    assert "'n'" in _rejects(capsys, "solve", str(game))
+
+
 def test_unsupported_dimension_exit_code(capsys):
     rc, _ = run_cli(capsys, "gen", "beta", "--n", "1")
     assert rc == 2

@@ -4,17 +4,15 @@ from operator import mul
 
 import pytest
 
-from conftest import random_binary_matrix, random_int_matrix
-from nashrand.errors import SingularMatrix
-from nashrand.exact import (
-    IntMatrix,
-    _eliminate,
-    cofactor_sum,
-    det,
+from conftest import (
+    cofactor_sum_definition,
     mat_vec,
+    random_binary_matrix,
+    random_int_matrix,
     replace_column,
-    solve_exact,
 )
+from nashrand.errors import SingularMatrix
+from nashrand.exact import IntMatrix, cofactor_sum, det, eliminate, solve_exact
 from nashrand.families import beta_matrix, block_matrix, prime_block_game
 
 
@@ -110,7 +108,7 @@ def test_eliminate_matches_cofactor_expansion():
         d = det_cofactor_expansion(m)
         assert det(m) == d
         rhs = [rng.randint(-5, 5) for _ in range(m.n)]
-        got, y = _eliminate([list(r) for r in m.rows], rhs)
+        got, y = eliminate([list(r) for r in m.rows], rhs)
         assert got == d
         if d == 0:
             assert y is None
@@ -193,7 +191,7 @@ def test_cofactor_sum_solve_shortcut_agrees():
         m = random_int_matrix(rng, 4, -5, 5)
         if det(m) == 0:
             continue
-        assert cofactor_sum(m, method="solve") == cofactor_sum(m)
+        assert cofactor_sum(m, method="solve") == cofactor_sum_definition(m)
         checked += 1
     structured = [beta_matrix(n) for n in range(2, 31)]
     structured += [prime_block_game(k).B for k in range(1, 5)]
@@ -202,12 +200,48 @@ def test_cofactor_sum_solve_shortcut_agrees():
         if det(IntMatrix(rows)):
             structured.append(IntMatrix(rows))
     for m in structured:
-        assert cofactor_sum(m, method="solve") == cofactor_sum(m)
+        assert cofactor_sum(m, method="solve") == cofactor_sum_definition(m)
 
 
-def test_cofactor_sum_solve_needs_invertible():
-    with pytest.raises(SingularMatrix):
-        cofactor_sum(IntMatrix([[1, 1], [1, 1]]), method="solve")
+def _singular_cases(rng: random.Random) -> list[IntMatrix]:
+    """Singular matrices up to 6x6: a duplicated row, a zero row, or rank
+    at most n - 1 from rows that are integer combinations of fewer rows."""
+    cases = [IntMatrix([[1, 1], [1, 1]]), IntMatrix([[0]]), IntMatrix([[0, 0], [0, 0]])]
+    for i in range(150):
+        n = rng.randint(2, 6)
+        rows = _random_rows(rng, n, rng.choice((0.3, 0.6, 1.0)))
+        kind = i % 3
+        if kind == 0:
+            a, b = rng.sample(range(n), 2)
+            rows[a] = list(rows[b])
+        elif kind == 1:
+            rows[rng.randrange(n)] = [0] * n
+        else:
+            rank = rng.randint(1, n - 1)
+            basis = rows[:rank]
+            rows = [
+                [sum(c * r[j] for c, r in zip(coef, basis)) for j in range(n)]
+                for coef in ([rng.randint(-2, 2) for _ in basis] for _ in range(n))
+            ]
+            rng.shuffle(rows)
+        cases.append(IntMatrix(rows))
+    return cases
+
+
+def test_cofactor_sum_singular_matches_definition():
+    # det(M + J) = det M + 1^T adj(M) 1, so a singular M needs no inverse
+    rng = random.Random(8080)
+    cases = _singular_cases(rng)
+    assert len(cases) >= 100
+    nonzero = 0
+    for m in cases:
+        assert det(m) == 0
+        k = cofactor_sum(m, method="solve")
+        assert k == cofactor_sum_definition(m)
+        nonzero += k != 0
+    assert nonzero >= 20
+    with pytest.raises(ValueError):
+        cofactor_sum(cases[0], method="definition")
 
 
 def test_solve_exact_identity():

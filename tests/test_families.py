@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import X1_NUMERATORS, Y2_NUMERATORS, EXAMPLE1_B_ROWS
+from conftest import X1_NUMERATORS, Y2_NUMERATORS, EXAMPLE1_B_ROWS, mat_vec
 from nashrand.errors import (
     HasPureNE,
     HypothesisViolation,
     SymmetryViolation,
     UnsupportedDimension,
 )
-from nashrand.exact import IntMatrix, cofactor_sum, det, mat_vec
+from nashrand.exact import IntMatrix, cofactor_sum, det
 from nashrand.families import (
     Permutation,
     asymptotic_checks,
@@ -288,6 +288,59 @@ def test_symmetry_predicate():
     assert is_symmetric_under(beta_matrix(8), rev, rev)
     ident = Permutation.identity(8)
     assert not is_symmetric_under(beta_matrix(8), ident, ident)
+
+
+def _is_symmetric_entrywise(b, pi, tau):
+    """The entrywise form of the predicate: B[j][i] == B[tau(i)][pi(j)]."""
+    n = b.n
+    if pi.n != n or tau.n != n:
+        return False
+    return all(
+        b.entry(j, i) == b.entry(tau(i), pi(j))
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+
+
+def _symmetric_rows(rng, pi, tau):
+    """Random binary rows constant on each orbit of the position map
+    (r, c) -> (tau(c), pi(r)), hence symmetric under (pi, tau)."""
+    n = pi.n
+    rows = [[None] * n for _ in range(n)]
+    for r0 in range(n):
+        for c0 in range(n):
+            v = rng.randint(0, 1)
+            r, c = r0, c0
+            while rows[r][c] is None:
+                rows[r][c] = v
+                r, c = tau.mapping[c] - 1, pi.mapping[r] - 1
+    return rows
+
+
+def test_symmetry_predicate_matches_entrywise_check():
+    # a third of the cases built symmetric, a third symmetric with one entry
+    # flipped, a third plain random
+    rng = random.Random(1729)
+    symmetric = 0
+    for case in range(12000):
+        n = rng.randint(1, 5)
+        pi = Permutation(rng.sample(range(1, n + 1), n))
+        tau = Permutation(rng.sample(range(1, n + 1), n))
+        if case % 3 == 2:
+            rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = _symmetric_rows(rng, pi, tau)
+            if case % 3 == 1:
+                r, c = rng.randrange(n), rng.randrange(n)
+                rows[r][c] = 1 - rows[r][c]
+        b = IntMatrix(rows)
+        want = _is_symmetric_entrywise(b, pi, tau)
+        assert is_symmetric_under(b, pi, tau) == want
+        symmetric += want
+    assert 4000 <= symmetric < 12000
+    # mismatched sizes are never symmetric
+    assert not is_symmetric_under(beta_matrix(8), Permutation.identity(7),
+                                  Permutation.identity(8))
 
 
 def test_prime_block_symmetry_pairs():
