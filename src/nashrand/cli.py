@@ -253,6 +253,8 @@ def cmd_recurrence(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     dist = load_distribution(args.dist)
     sampler = DdgSampler(dist)
     bits = BitSource(args.seed)

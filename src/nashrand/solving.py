@@ -1,24 +1,26 @@
 r"""Equilibrium computation by exact support enumeration.
 
-For every pair of equal-size supports (I, J) the two indifference systems
-are solved over the rationals:
+One loop runs over pairs of equal-size supports (I, J).  For each pair the
+two indifference systems are solved exactly by ``_indifferent``, once per
+player side:
 
-    sum_{i in I} x_i B_{ i j } = u   for j in J,   sum x_i = 1
     sum_{j in J} A_{ i j } y_j = v   for i in I,   sum y_j = 1
+    sum_{i in I} x_i B_{ i j } = u   for j in J,   sum x_i = 1
 
-A candidate is accepted when both solutions are strictly positive on their
-nominal supports and no off-support pure strategy beats the support payoff.
-Equal-size supports capture every equilibrium of a nondegenerate game; a
-degeneracy flag is raised whenever evidence to the contrary shows up
-(an off-support pure strategy tied with the support payoff, or a solved
-support coordinate landing on zero).
+The column player's y comes from (A, I, J), the row player's x from
+(B^T, J, I).  A candidate is accepted when both solutions are strictly
+positive on their nominal supports and no off-support pure strategy beats
+the support payoff.  Equal-size supports capture every equilibrium of a
+nondegenerate game; a degeneracy flag is raised whenever evidence to the
+contrary shows up (an off-support pure strategy tied with the support
+payoff, or a solved support coordinate landing on zero).
 
-Imitation games (A the identity) take a one-sided path instead: 2^n - 1
-supports S rather than C(2n, n) - 1 pairs.  Only the x-system is solved,
-with J = I = S, and y is uniform on S (McLennan and Tourky, "Simple
-complexity from imitation games", GEB 2010).  The pair loop, run on such a
-game, accepts only pairs with I = J, so both paths report the same
-equilibria and the same degeneracy flag, and no fallback is needed:
+Imitation games (A the identity) differ in two data choices only: J ranges
+over (I,) alone, so 2^n - 1 supports S are examined rather than C(2n, n) - 1
+pairs, and y is the constant uniform strategy on S (McLennan and Tourky,
+"Simple complexity from imitation games", GEB 2010).  Over all pairs such a
+game accepts only those with I = J, with the same degeneracy evidence, so
+the choices are exact:
 
     |I \ J| >= 2: two rows of the y-system read -v = 0, so it is singular.
     |I \ J| = 1: v = 0 and y = e_j with j in J \ I, whose row pays
@@ -34,17 +36,16 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable
 
-from .errors import DimensionTooLarge, NoEquilibriumFound
-from .exact import eliminate, solve_exact
+from .errors import DimensionTooLarge, NoEquilibriumFound, SingularMatrix
+from .exact import eliminate
 from .games import (
     Game,
     MixedStrategy,
     Profile,
-    canonicalize,
     complexity,
     is_nash,
     pure,
@@ -73,9 +74,9 @@ def resolve_max_n(max_n: int | None = None) -> int:
 class SolveReport:
     """Every equilibrium support enumeration found, in enumeration order.
 
-    ``enumerated_supports`` counts the supports examined: support pairs
-    (I, J) on the generic path, C(2n, n) - 1 of them, and single supports
-    S on imitation games, 2^n - 1 of them.
+    ``enumerated_supports`` counts the support pairs (I, J) examined:
+    C(2n, n) - 1 of them in general, and 2^n - 1 on imitation games, where
+    J = I, so each is a single support S.
     """
 
     equilibria: tuple[Profile, ...]
@@ -109,155 +110,91 @@ def support_enumeration(game: Game, max_n: int | None = None) -> SolveReport:
 
 @lru_cache(maxsize=128)
 def _enumerate(game: Game) -> SolveReport:
-    # All candidate tests run on integers: eliminate returns the solution
-    # as (determinant d, integer vector y) with probabilities y_i / d, so
-    # sign feasibility and payoff comparisons multiply through by sign(d)
-    # instead of building Fractions.  Rationals appear only for accepted
-    # equilibria.
+    # All candidate tests run on integers: eliminate returns each side's
+    # solution as (determinant d, integer vector z) with probabilities
+    # z_i / d, and accepted strategies are reduced by gcd(z), so no
+    # Fraction is ever built.
+    n = game.n
     a = game.A.rows
-    if all(v == (i == j) for i, row in enumerate(a) for j, v in enumerate(row)):
-        return _enumerate_imitation(game.n, game.B.rows)
-    return _enumerate_pairs(game.n, a, game.B.rows)
-
-
-def _enumerate_imitation(n: int, b: Rows) -> SolveReport:
-    """One-sided enumeration of the imitation game (I, B)."""
+    bt = tuple(zip(*game.B.rows))
+    imitation = all(
+        v == (i == j) for i, row in enumerate(a) for j, v in enumerate(row)
+    )
     equilibria: list[Profile] = []
     degenerate = False
-    supports = 0
-    rng_all = range(n)
+    examined = 0
     for k in range(1, n + 1):
+        supports = list(combinations(range(n), k))
         rhs = [0] * k + [1]
-        for S in combinations(rng_all, k):
-            supports += 1
-            # x makes the columns of S indifferent under B
-            b_rows = [b[i] for i in S]
-            m = [[row[j] for row in b_rows] + [-1] for j in S]
-            m.append([1] * k + [0])
-            d, xv = eliminate(m, rhs)
-            if not d:
-                continue
-            if d < 0:
-                xv = [-t for t in xv]
-                d = -d
-            if any(t < 0 for t in xv[:k]):
-                continue
-            u = xv[k]
-            sset = set(S)
-            extra_ties = False
-            feasible = True
-            for j in rng_all:
-                if j in sset:
-                    continue
-                payoff = sum(row[j] * xv[idx] for idx, row in enumerate(b_rows))
-                if payoff > u:
-                    feasible = False
-                    break
-                if payoff == u:
-                    extra_ties = True
-            if not feasible:
-                continue
-            if any(t == 0 for t in xv[:k]):
-                degenerate = True
-                continue
-            if extra_ties:
-                degenerate = True
-            x = [Fraction(0)] * n
-            for idx, i in enumerate(S):
-                x[i] = Fraction(xv[idx], d)
-            y = MixedStrategy(tuple(int(i in sset) for i in rng_all), k)
-            equilibria.append(Profile(canonicalize(x), y))
-    return _report(equilibria, degenerate, supports)
-
-
-def _enumerate_pairs(n: int, a: Rows, b: Rows) -> SolveReport:
-    """Generic enumeration over all equal-size support pairs (I, J)."""
-    equilibria: list[Profile] = []
-    degenerate = False
-    pairs = 0
-    rng_all = range(n)
-    for k in range(1, n + 1):
-        supports = list(combinations(rng_all, k))
-        rhs = [0] * k + [1]
+        uniform_y = (k, [1] * k, False)
         for I in supports:
-            iset = set(I)
-            a_rows = [a[i] for i in I]
-            b_rows = [b[i] for i in I]
-            for J in supports:
-                pairs += 1
-                # column player's strategy y makes rows of I indifferent
-                m1 = [[row[j] for j in J] + [-1] for row in a_rows]
-                m1.append([1] * k + [0])
-                d1, yv = eliminate(m1, rhs)
-                if not d1:
+            for J in (I,) if imitation else supports:
+                examined += 1
+                y = uniform_y if imitation else _indifferent(a, I, J, rhs)
+                if y is None:
                     continue
-                if d1 < 0:
-                    yv = [-t for t in yv]
-                    d1 = -d1
-                if any(t < 0 for t in yv[:k]):
+                x = _indifferent(bt, J, I, rhs)
+                if x is None:
                     continue
-                # row player's strategy x makes columns of J indifferent
-                m2 = [[row[j] for row in b_rows] + [-1] for j in J]
-                m2.append([1] * k + [0])
-                d2, xv = eliminate(m2, rhs)
-                if not d2:
-                    continue
-                if d2 < 0:
-                    xv = [-t for t in xv]
-                    d2 = -d2
-                if any(t < 0 for t in xv[:k]):
-                    continue
-                v = yv[k]
-                u = xv[k]
-                extra_ties = False
-                feasible = True
-                jset = set(J)
-                for i in rng_all:
-                    if i in iset:
-                        continue
-                    row = a[i]
-                    payoff = sum(row[j] * yv[idx] for idx, j in enumerate(J))
-                    if payoff > v:
-                        feasible = False
-                        break
-                    if payoff == v:
-                        extra_ties = True
-                if not feasible:
-                    continue
-                for j in rng_all:
-                    if j in jset:
-                        continue
-                    payoff = sum(row[j] * xv[idx] for idx, row in enumerate(b_rows))
-                    if payoff > u:
-                        feasible = False
-                        break
-                    if payoff == u:
-                        extra_ties = True
-                if not feasible:
-                    continue
-                if any(t == 0 for t in xv[:k]) or any(t == 0 for t in yv[:k]):
+                (dy, yv, y_ties), (dx, xv, x_ties) = y, x
+                if 0 in xv or 0 in yv:
                     # a valid equilibrium whose true support is smaller; it is
                     # (or will be) found there, so only record the degeneracy
                     degenerate = True
                     continue
-                if extra_ties:
-                    degenerate = True
-                x = [Fraction(0)] * n
-                for idx, i in enumerate(I):
-                    x[i] = Fraction(xv[idx], d2)
-                y = [Fraction(0)] * n
-                for idx, j in enumerate(J):
-                    y[j] = Fraction(yv[idx], d1)
-                equilibria.append(Profile(canonicalize(x), canonicalize(y)))
-    return _report(equilibria, degenerate, pairs)
-
-
-def _report(
-    equilibria: list[Profile], degenerate: bool, examined: int
-) -> SolveReport:
+                degenerate = degenerate or y_ties or x_ties
+                equilibria.append(
+                    Profile(_strategy(n, I, xv, dx), _strategy(n, J, yv, dy))
+                )
     c1 = min((complexity(p.x) for p in equilibria), default=None)
     c2 = min((complexity(p.y) for p in equilibria), default=None)
     return SolveReport(tuple(equilibria), c1, c2, degenerate, examined)
+
+
+def _indifferent(
+    m: Rows, rows: tuple[int, ...], cols: tuple[int, ...], rhs: list[int]
+) -> tuple[int, list[int], bool] | None:
+    """The strategy on ``cols`` that makes ``rows`` of ``m`` indifferent.
+
+    Solves the bordered system sum_{c in cols} m[r][c] z_c = value for r in
+    rows, sum z_c = 1, and returns ``(d, z, ties)``: probabilities z_c / d
+    with d > 0 (so sum(z) == d), and whether an off-support row of ``m``
+    ties the support payoff.  None when the system is singular, a
+    coordinate is negative, or an off-support row pays more.
+    """
+    k = len(cols)
+    system = [[m[r][c] for c in cols] + [-1] for r in rows]
+    system.append([1] * k + [0])
+    d, z = eliminate(system, rhs)
+    if not d:
+        return None
+    if d < 0:
+        d = -d
+        z = [-t for t in z]
+    value = z.pop()
+    if any(t < 0 for t in z):
+        return None
+    ties = False
+    for r, row in enumerate(m):
+        if r in rows:
+            continue
+        payoff = sum(row[c] * t for c, t in zip(cols, z))
+        if payoff > value:
+            return None
+        if payoff == value:
+            ties = True
+    return d, z, ties
+
+
+def _strategy(
+    n: int, support: Iterable[int], z: list[int], d: int
+) -> MixedStrategy:
+    """The canonical strategy z / d on ``support``; needs sum(z) == d > 0."""
+    g = math.gcd(*z)
+    nums = [0] * n
+    for i, t in zip(support, z):
+        nums[i] = t // g
+    return MixedStrategy(tuple(nums), d // g)
 
 
 def min_complexities(game: Game, max_n: int | None = None) -> tuple[int, int]:
@@ -272,24 +209,33 @@ def min_complexities(game: Game, max_n: int | None = None) -> tuple[int, int]:
 def fully_mixed_ne(game: Game) -> Profile | None:
     """The unique fully mixed equilibrium candidate, if it is one.
 
-    Solves B^T x = 1 and A y = 1, normalizes, and returns the profile only
-    when every coordinate is positive and the best-response check passes.
+    Solves B^T x = 1 and A y = 1 (SingularMatrix if either is singular),
+    normalizes, and returns the profile only when every coordinate is
+    positive and the best-response check passes.
     """
-    n = game.n
-    x_raw = solve_exact(game.B.transpose(), [1] * n)
-    y_raw = solve_exact(game.A, [1] * n)
-    sx = sum(x_raw)
-    sy = sum(y_raw)
-    if sx == 0 or sy == 0:
+    x = _normalized_solution([list(col) for col in zip(*game.B.rows)])
+    y = _normalized_solution([list(row) for row in game.A.rows])
+    if x is None or y is None:
         return None
-    x = [v / sx for v in x_raw]
-    y = [v / sy for v in y_raw]
-    if any(v <= 0 for v in x) or any(v <= 0 for v in y):
-        return None
-    profile = Profile(canonicalize(x), canonicalize(y))
+    profile = Profile(x, y)
     if not is_nash(game, profile):
         return None
     return profile
+
+
+def _normalized_solution(m: list[list[int]]) -> MixedStrategy | None:
+    """m^-1 1 scaled to sum 1, or None unless every coordinate is positive."""
+    n = len(m)
+    d, z = eliminate(m, [1] * n)
+    if not d:
+        raise SingularMatrix("matrix has determinant zero")
+    s = sum(z)
+    if s < 0:
+        s, z = -s, [-t for t in z]
+    # z != 0 because m z = d 1, so a zero sum leaves a negative coordinate
+    if any(t <= 0 for t in z):
+        return None
+    return _strategy(n, range(n), z, s)
 
 
 def bounded_ne_exists(

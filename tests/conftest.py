@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
 import pytest
 
-from nashrand.exact import IntMatrix, det
+from nashrand.exact import IntMatrix, det, eliminate
 from nashrand.families import (
     Permutation,
     beta_game,
@@ -14,7 +15,10 @@ from nashrand.families import (
     permutation_game,
     prime_block_game,
 )
-from nashrand.games import Game
+from nashrand.games import Game, Profile, canonicalize, complexity
+from nashrand.solving import SolveReport
+
+Rows = tuple[tuple[int, ...], ...]
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -126,3 +130,90 @@ def mat_vec(m: IntMatrix, v: Sequence) -> tuple[Fraction, ...]:
         sum((Fraction(row[j]) * v[j] for j in range(m.n)), Fraction(0))
         for row in m.rows
     )
+
+
+def enumerate_pairs(n: int, a: Rows, b: Rows) -> SolveReport:
+    """Support enumeration over all equal-size support pairs (I, J), written
+    out inline: both systems are solved before either payoff scan, and
+    imitation games get no special case.  A second source for
+    ``nashrand.solving.support_enumeration``."""
+    equilibria: list[Profile] = []
+    degenerate = False
+    pairs = 0
+    rng_all = range(n)
+    for k in range(1, n + 1):
+        supports = list(combinations(rng_all, k))
+        rhs = [0] * k + [1]
+        for I in supports:
+            iset = set(I)
+            a_rows = [a[i] for i in I]
+            b_rows = [b[i] for i in I]
+            for J in supports:
+                pairs += 1
+                # column player's strategy y makes rows of I indifferent
+                m1 = [[row[j] for j in J] + [-1] for row in a_rows]
+                m1.append([1] * k + [0])
+                d1, yv = eliminate(m1, rhs)
+                if not d1:
+                    continue
+                if d1 < 0:
+                    yv = [-t for t in yv]
+                    d1 = -d1
+                if any(t < 0 for t in yv[:k]):
+                    continue
+                # row player's strategy x makes columns of J indifferent
+                m2 = [[row[j] for row in b_rows] + [-1] for j in J]
+                m2.append([1] * k + [0])
+                d2, xv = eliminate(m2, rhs)
+                if not d2:
+                    continue
+                if d2 < 0:
+                    xv = [-t for t in xv]
+                    d2 = -d2
+                if any(t < 0 for t in xv[:k]):
+                    continue
+                v = yv[k]
+                u = xv[k]
+                extra_ties = False
+                feasible = True
+                jset = set(J)
+                for i in rng_all:
+                    if i in iset:
+                        continue
+                    row = a[i]
+                    payoff = sum(row[j] * yv[idx] for idx, j in enumerate(J))
+                    if payoff > v:
+                        feasible = False
+                        break
+                    if payoff == v:
+                        extra_ties = True
+                if not feasible:
+                    continue
+                for j in rng_all:
+                    if j in jset:
+                        continue
+                    payoff = sum(row[j] * xv[idx] for idx, row in enumerate(b_rows))
+                    if payoff > u:
+                        feasible = False
+                        break
+                    if payoff == u:
+                        extra_ties = True
+                if not feasible:
+                    continue
+                if any(t == 0 for t in xv[:k]) or any(t == 0 for t in yv[:k]):
+                    # a valid equilibrium whose true support is smaller; it is
+                    # (or will be) found there, so only record the degeneracy
+                    degenerate = True
+                    continue
+                if extra_ties:
+                    degenerate = True
+                x = [Fraction(0)] * n
+                for idx, i in enumerate(I):
+                    x[i] = Fraction(xv[idx], d2)
+                y = [Fraction(0)] * n
+                for idx, j in enumerate(J):
+                    y[j] = Fraction(yv[idx], d1)
+                equilibria.append(Profile(canonicalize(x), canonicalize(y)))
+    c1 = min((complexity(p.x) for p in equilibria), default=None)
+    c2 = min((complexity(p.y) for p in equilibria), default=None)
+    return SolveReport(tuple(equilibria), c1, c2, degenerate, pairs)

@@ -324,6 +324,14 @@ def test_string_numerators_exit_two(tmp_path, capsys):
     assert "'x2'" in _rejects(capsys, "analyze", str(dist), "--depth", "4")
 
 
+def test_negative_sample_count_exits_two(tmp_path, capsys):
+    dist = tmp_path / "u2.json"
+    dist.write_text('{"numerators": [1, 1], "denominator": 2}')
+    assert "--count must be >= 0, got -1" in _rejects(
+        capsys, "sample", str(dist), "--count", "-1"
+    )
+
+
 def test_boolean_dimension_exits_two(tmp_path, capsys):
     game = tmp_path / "bool.json"
     game.write_text('{"n": true, "A": [[1]], "B": [[1]]}')

@@ -7,13 +7,19 @@ from conftest import (
     X1_NUMERATORS,
     Y2_NUMERATORS,
     coordination_game,
+    enumerate_pairs,
     matching_pennies,
     random_binary_matrix,
     random_int_matrix,
 )
 from nashrand.errors import DimensionTooLarge, SingularMatrix
 from nashrand.exact import IntMatrix, cofactor_sum, det
-from nashrand.families import beta_game, constant_sum_beta, pad_game
+from nashrand.families import (
+    beta_game,
+    constant_sum_beta,
+    constant_sum_prime_block,
+    pad_game,
+)
 from nashrand.games import (
     Game,
     MixedStrategy,
@@ -24,7 +30,6 @@ from nashrand.games import (
     uniform,
 )
 from nashrand.solving import (
-    _enumerate_pairs,
     bounded_ne_exists,
     complexity_upper_bound,
     fully_mixed_ne,
@@ -274,9 +279,9 @@ def test_degenerate_flag_raised_on_tied_off_support_column():
 
 
 def test_imitation_path_matches_pair_loop():
-    # the one-sided path must reproduce the generic pair loop exactly,
-    # equilibrium order and degeneracy flag included; entries in 0..1 and
-    # 0..99 make many of these games degenerate
+    # on imitation games J = I and the uniform y must reproduce the pair
+    # loop over all (I, J) exactly, equilibrium order and degeneracy flag
+    # included; entries in 0..1 and 0..99 make many of these games degenerate
     rng = random.Random(2312)
     degenerate = 0
     for hi in (1, 99):
@@ -284,7 +289,7 @@ def test_imitation_path_matches_pair_loop():
             n = rng.randint(1, 6)
             game = Game(IntMatrix.identity(n), random_int_matrix(rng, n, 0, hi))
             fast = support_enumeration(game)
-            slow = _enumerate_pairs(n, game.A.rows, game.B.rows)
+            slow = enumerate_pairs(n, game.A.rows, game.B.rows)
             assert fast.equilibria == slow.equilibria
             assert (fast.c1_min, fast.c2_min) == (slow.c1_min, slow.c2_min)
             assert fast.degenerate_flag == slow.degenerate_flag
@@ -300,9 +305,43 @@ def test_imitation_path_on_paper_games(corpus):
         n = game.n
         report = support_enumeration(game)
         assert report.enumerated_supports == 2**n - 1
-        slow = _enumerate_pairs(n, game.A.rows, game.B.rows)
+        slow = enumerate_pairs(n, game.A.rows, game.B.rows)
         assert report.equilibria == slow.equilibria
         assert report.degenerate_flag == slow.degenerate_flag
+
+
+def test_support_enumeration_matches_pair_loop_on_general_games():
+    # each side's off-support rows are checked right after its own solve, so
+    # y is rejected before x is solved; the pair loop solved both first.
+    # Equal reports, order and degeneracy flag included, pin that this
+    # reordering changes nothing.  Entries in 0..1 and 0..2 make many of
+    # these games degenerate.
+    rng = random.Random(5077)
+    games = [
+        constant_sum_beta(8)[0],
+        constant_sum_prime_block(1)[0],
+        constant_sum_prime_block(2)[0],
+        pad_game(beta_game(8)),
+    ]
+    for lo, hi in ((-9, 9), (0, 1), (0, 2)):
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            a = random_int_matrix(rng, n, lo, hi)
+            games.append(Game(a, random_int_matrix(rng, n, lo, hi)))
+    degenerate = 0
+    for game in games:
+        n = game.n
+        report = support_enumeration(game)
+        slow = enumerate_pairs(n, game.A.rows, game.B.rows)
+        assert report.equilibria == slow.equilibria
+        assert (report.c1_min, report.c2_min) == (slow.c1_min, slow.c2_min)
+        assert report.degenerate_flag == slow.degenerate_flag
+        if game.A == IntMatrix.identity(n):
+            assert report.enumerated_supports == 2**n - 1
+        else:
+            assert report.enumerated_supports == math.comb(2 * n, n) - 1
+        degenerate += slow.degenerate_flag
+    assert degenerate > 0
 
 
 def test_near_identity_row_payoffs_take_pair_loop():
