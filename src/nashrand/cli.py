@@ -73,6 +73,8 @@ _SCAN_FORMS = {
     "constsum-primeblock": lambda n: families.constant_sum_prime_block(n)[1:],
 }
 SCAN_FAMILIES = tuple(_SCAN_FORMS)
+# largest `recurrence --to`: the CSV grows as N^2 / 4 bytes (24 MB at the cap)
+RECURRENCE_CAP = 10_000
 
 
 def _write(text: str, out: str | None) -> None:
@@ -237,6 +239,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_recurrence(args: argparse.Namespace) -> int:
     if args.to < 8:
         raise UnsupportedDimension("recurrence table needs --to >= 8")
+    if args.to > RECURRENCE_CAP:  # a, b, det_b have ~n/6 digits each in row n
+        raise DimensionTooLarge(f"--to {args.to} exceeds the recurrence cap {RECURRENCE_CAP} "
+                                f"(estimated output {args.to ** 2 // 4} bytes of CSV)")
     table = families.recurrence_table(args.to)
     lines = ["n,a,b,det_b,g,ratio_b_next_over_b"]
     for n in range(1, args.to + 1):

@@ -14,7 +14,7 @@ class NotADistribution(NashrandError):
 
 
 class DimensionTooLarge(NashrandError):
-    """Game dimension exceeds the configured enumeration limit."""
+    """A dimension exceeds a configured limit (enumeration, recurrence table)."""
 
 
 class DepthTooLarge(NashrandError):

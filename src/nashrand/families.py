@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import HasPureNE, HypothesisViolation, SymmetryViolation, UnsupportedDimension
 from .exact import IntMatrix, cofactor_sum, eliminate
@@ -44,6 +44,28 @@ def first_primes(count: int) -> list[int]:
                 break
             candidate += 2
     return _PRIMES[:count]
+
+
+# ---------------------------------------------------------------------------
+# 0/1 matrices
+
+
+def _cell_matrix(n: int, cells: Iterable[tuple[int, int]]) -> IntMatrix:
+    """n x n matrix with ones exactly at the given 0-based (row, column) cells."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j in cells:
+        rows[i][j] = 1
+    return IntMatrix(rows)
+
+
+def _band_cells(m: int, shift: int) -> list[tuple[int, int]]:
+    """Cells j in {i-2, i, i+1} of an m x m band, moved ``shift`` columns right."""
+    return [(i, j + shift) for i in range(m) for j in (i - 2, i, i + 1) if 0 <= j < m]
+
+
+def _block_cells(m: int, row: int, col: int) -> list[tuple[int, int]]:
+    """Ones of an m x m block, zero exactly where i = j+1 mod m, put at (row, col)."""
+    return [(row + i, col + j) for i in range(m) for j in range(m) if (i - j - 1) % m]
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +126,18 @@ def _check_table(t: RecurrenceTable) -> None:
             raise AssertionError(f"b({n}) + b({n + 1}) != a({n})")
         if n >= 4 and (1 if t.b(n) > 0 else -1) != (-1) ** n:
             raise AssertionError(f"sign of b({n}) is wrong")
+        if n >= 3 and t.det_b(n - 1) != 2 * abs(t.b(n)) + abs(t.a(n)):
+            raise AssertionError(f"det_b({n - 1}) != 2|b({n})| + |a({n})|")
 
 
 @dataclass(frozen=True)
 class RecurrenceConstants:
     """Floating-point roots and weights of the recurrence's characteristic
     polynomial x^3 + x^2 + 1 (plus the root 1 split off from x^4 - x^2 + x - 1).
+
+    b_n = w0 + w1 rho^n + 2 Re(w2 z^n), with the weight of each root r of
+    p(x) = x^4 - x^2 + x - 1 in closed form: w_r = r / p'(r) =
+    r / (4 r^3 - 2 r + 1).
 
     Everything exact goes through RecurrenceTable; these constants appear
     only in tolerance-based asymptotic checks.
@@ -136,29 +164,13 @@ def recurrence_constants() -> RecurrenceConstants:
     half = -(1 + rho) / 2
     imag = math.sqrt((rho**2 + rho) - half * half)
     z = complex(half, -imag)
-    # weights fitting b_n = w0 + w1 rho^n + 2 Re(w2 z^n) to b_1..b_4
-    w0, w1, w2 = _fit_weights(rho, z)
+    # b_n = sum of w_r r^n over the roots r of p(x) = x^4 - x^2 + x - 1.  The
+    # sums sum_r r^k / p'(r) are 0 for k < 3 and h_{k-3} (complete homogeneous
+    # symmetric polynomial of the roots) for k >= 3, so w_r = r / p'(r) gives
+    # h_{n-2} = 0, 1, e1 = 0, e1^2 - e2 = 1 for n = 1..4: the Vandermonde
+    # system's solution without an elimination.
+    w0, w1, w2 = (r / (4 * r**3 - 2 * r + 1) for r in (1.0, rho, z))
     return RecurrenceConstants(rho=rho, z=z, w0=w0, w1=w1, w2=w2)
-
-
-def _fit_weights(rho: float, z: complex) -> tuple[float, float, complex]:
-    targets = [0.0, 1.0, 0.0, 1.0]
-    # unknowns: w0, w1, Re w2, Im w2
-    rows = []
-    for n in range(1, 5):
-        zn = z**n
-        rows.append([1.0, rho**n, 2 * zn.real, -2 * zn.imag, targets[n - 1]])
-    m = 4
-    for c in range(m):
-        pivot = max(range(c, m), key=lambda r: abs(rows[r][c]))
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        for r in range(m):
-            if r != c and rows[r][c] != 0.0:
-                f = rows[r][c] / rows[c][c]
-                for j in range(c, m + 1):
-                    rows[r][j] -= f * rows[c][j]
-    w = [rows[i][m] / rows[i][i] for i in range(m)]
-    return w[0], w[1], complex(w[2], w[3])
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +178,12 @@ def _fit_weights(rho: float, z: complex) -> tuple[float, float, complex]:
 
 
 class Permutation:
-    """Bijection on {1, ..., n} with its cycle decomposition cached.
+    """Bijection on {1, ..., n}.
 
     Applied to a vector v, the image w satisfies w_j = v_{pi(j)}.
     """
 
-    __slots__ = ("mapping", "_cycles")
+    __slots__ = ("mapping",)
 
     def __init__(self, mapping: Sequence[int]):
         images = tuple(int(v) for v in mapping)
@@ -179,7 +191,6 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError("mapping is not a bijection on 1..n")
         self.mapping = images
-        self._cycles: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def n(self) -> int:
@@ -229,21 +240,17 @@ class Permutation:
         return Permutation([self(other(i)) for i in range(1, self.n + 1)])
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        if self._cycles is None:
-            seen = [False] * self.n
-            out = []
-            for start in range(1, self.n + 1):
-                if seen[start - 1]:
-                    continue
-                cycle = []
-                i = start
-                while not seen[i - 1]:
-                    seen[i - 1] = True
-                    cycle.append(i)
-                    i = self(i)
+        seen: set[int] = set()
+        out = []
+        for start in range(1, self.n + 1):
+            i, cycle = start, []
+            while i not in seen:
+                seen.add(i)
+                cycle.append(i)
+                i = self(i)
+            if cycle:
                 out.append(tuple(cycle))
-            self._cycles = tuple(out)
-        return self._cycles
+        return tuple(out)
 
     def apply(self, vector: Sequence) -> tuple:
         """Vector image under this permutation: result_j = v_{pi(j)}."""
@@ -253,10 +260,7 @@ class Permutation:
 
     def matrix(self) -> IntMatrix:
         """Permutation matrix P with P e_i = e_{pi(i)}."""
-        n = self.n
-        return IntMatrix(
-            [[1 if r + 1 == self(c + 1) else 0 for c in range(n)] for r in range(n)]
-        )
+        return _cell_matrix(self.n, ((img - 1, c) for c, img in enumerate(self.mapping)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,34 +271,22 @@ def block_matrix(k: int) -> IntMatrix:
     """(k+1) x (k+1) binary matrix with zeros exactly where i = j+1 mod k+1."""
     if k < 1:
         raise UnsupportedDimension("block size parameter must be >= 1")
-    m = k + 1
-    return IntMatrix(
-        [[0 if (i - j - 1) % m == 0 else 1 for j in range(m)] for i in range(m)]
-    )
-
-
-def _prime_block_payoffs(primes: Sequence[int]) -> IntMatrix:
-    sizes = [p + 1 for p in primes]
-    inner = sum(sizes)
-    rows = [[0] * (inner + 1) for _ in range(inner + 1)]
-    offset = 0
-    for p in primes:
-        blk = block_matrix(p).rows
-        m = p + 1
-        for i in range(m):
-            for j in range(m):
-                rows[offset + i][1 + offset + j] = blk[i][j]
-        offset += m
-    rows[inner][0] = 1
-    return IntMatrix(rows)
+    return _cell_matrix(k + 1, _block_cells(k + 1, 0, 0))
 
 
 def prime_block_game(num_primes: int) -> Game:
-    """Imitation game over blocks sized by the first ``num_primes`` primes."""
+    """Imitation game over blocks sized by the first ``num_primes`` primes.
+
+    B holds ``block_matrix(p)`` for each prime p down the diagonal shifted one
+    column right, and a 1 in the bottom-left border cell.
+    """
     if num_primes < 1:
         raise UnsupportedDimension("need at least one prime block")
-    primes = first_primes(num_primes)
-    b = _prime_block_payoffs(primes)
+    cells, offset = [], 0
+    for p in first_primes(num_primes):
+        cells += _block_cells(p + 1, offset, offset + 1)
+        offset += p + 1
+    b = _cell_matrix(offset + 1, [*cells, (offset, 0)])
     return Game(IntMatrix.identity(b.n), b, family_tag="primeblock")
 
 
@@ -354,12 +346,7 @@ def banded_matrix(m: int) -> IntMatrix:
     and the second subdiagonal."""
     if m < 1:
         raise UnsupportedDimension("banded matrix needs m >= 1")
-    return IntMatrix(
-        [
-            [1 if j - i in (0, 1) or i - j == 2 else 0 for j in range(m)]
-            for i in range(m)
-        ]
-    )
+    return _cell_matrix(m, _band_cells(m, 0))
 
 
 def beta_matrix(n: int) -> IntMatrix:
@@ -367,10 +354,7 @@ def beta_matrix(n: int) -> IntMatrix:
     with the (n-1)-sized banded matrix in the upper right."""
     if n < 2:
         raise UnsupportedDimension("bordered banded matrix needs n >= 2")
-    inner = banded_matrix(n - 1).rows
-    rows = [(0,) + inner[i] for i in range(n - 1)]
-    rows.append((1,) + (0,) * (n - 1))
-    return IntMatrix(rows)
+    return _cell_matrix(n, [*_band_cells(n - 1, 1), (n - 1, 0)])
 
 
 def beta_game(n: int) -> Game:
@@ -450,22 +434,29 @@ def constant_sum_transform(game: Game, pi: Permutation, tau: Permutation) -> Gam
     return Game(IntMatrix(a_rows), game.B, family_tag=tag, constant_sum=1)
 
 
+def _constant_sum(
+    game: Game, pi: Permutation, tau: Permutation, closed_form: Callable[[], tuple[Profile, int]]
+) -> tuple[Game, Profile, int]:
+    """Transform ``game``, then pair the closed-form row strategy x with the
+    column strategy y = pi^-1 x."""
+    game = constant_sum_transform(game, pi, tau)
+    profile, c1 = closed_form()
+    y = MixedStrategy(pi.inverse().apply(profile.x.numerators), profile.x.denominator)
+    return game, Profile(profile.x, y), c1
+
+
 def constant_sum_beta(n: int) -> tuple[Game, Profile, int]:
     """Constant-sum version of ``beta_game`` with its equilibrium and C."""
     rev = Permutation.reversal(n)
-    game = constant_sum_transform(beta_game(n), rev, rev)
-    profile, c1 = beta_ne(n)
-    y = MixedStrategy(rev.inverse().apply(profile.x.numerators), profile.x.denominator)
-    return game, Profile(profile.x, y), c1
+    return _constant_sum(beta_game(n), rev, rev, lambda: beta_ne(n))
 
 
 def constant_sum_prime_block(num_primes: int) -> tuple[Game, Profile, int]:
     """Constant-sum version of ``prime_block_game``."""
     pi, tau = prime_block_symmetry(num_primes)
-    game = constant_sum_transform(prime_block_game(num_primes), pi, tau)
-    profile, c1 = prime_block_ne(num_primes)
-    y = MixedStrategy(pi.inverse().apply(profile.x.numerators), profile.x.denominator)
-    return game, Profile(profile.x, y), c1
+    return _constant_sum(
+        prime_block_game(num_primes), pi, tau, lambda: prime_block_ne(num_primes)
+    )
 
 
 def pad_game(game: Game) -> Game:

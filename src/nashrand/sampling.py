@@ -42,6 +42,9 @@ class BitSource:
     """
 
     def __init__(self, seed: int):
+        # random.Random seeds with abs(seed): -s would replay the stream of s
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.seed = seed
         self.bits_consumed = 0
         self._rng = random.Random(seed)

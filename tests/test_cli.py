@@ -398,3 +398,22 @@ def test_module_invocation_gen():
     )
     assert result.returncode == 0
     assert '"family_tag": "example1"' in result.stdout
+
+
+def test_negative_seed_exits_two(tmp_path, capsys):
+    # random.Random would seed with abs(seed) and replay the stream of --seed 5
+    dist = tmp_path / "u2.json"
+    dist.write_text('{"numerators": [1, 1], "denominator": 2}')
+    assert "seed must be >= 0, got -5" in _rejects(
+        capsys, "sample", str(dist), "--count", "20", "--seed", "-5"
+    )
+
+
+def test_recurrence_refuses_oversized_table(capsys):
+    start = time.perf_counter()
+    rc = main(["recurrence", "--to", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "--to 100000000" in err and "cap 10000" in err
+    assert "2500000000000000 bytes" in err

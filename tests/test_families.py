@@ -14,6 +14,8 @@ from nashrand.errors import (
 from nashrand.exact import IntMatrix, cofactor_sum, det
 from nashrand.families import (
     Permutation,
+    RecurrenceTable,
+    _check_table,
     asymptotic_checks,
     banded_matrix,
     beta_game,
@@ -89,6 +91,61 @@ CONSTANT_SUM_8_A = (
 )
 
 
+# entrywise definitions of the family matrices, references for the builders
+
+
+def banded_reference(m):
+    return tuple(
+        tuple(1 if j - i in (0, 1) or i - j == 2 else 0 for j in range(m))
+        for i in range(m)
+    )
+
+
+def beta_reference(n):
+    # zero first column but for a 1 in the last row; the band in the upper right
+    inner = banded_reference(n - 1)
+    return tuple(
+        tuple(
+            int(j == 0) if i == n - 1 else (0 if j == 0 else inner[i][j - 1])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def block_reference(k):
+    m = k + 1
+    return tuple(
+        tuple(0 if (i - j - 1) % m == 0 else 1 for j in range(m)) for i in range(m)
+    )
+
+
+def prime_block_reference(num_primes):
+    # block (p + 1) x (p + 1) on the diagonal shifted one column right,
+    # plus the border entry in the bottom-left corner
+    starts, offset = [], 0
+    for p in first_primes(num_primes):
+        starts.append((offset, p))
+        offset += p + 1
+    big_n = offset + 1
+
+    def entry(i, j):
+        if i == big_n - 1:
+            return int(j == 0)
+        o, p = next((o, p) for o, p in starts if o <= i <= o + p)
+        c = j - 1 - o
+        return block_reference(p)[i - o][c] if 0 <= c <= p else 0
+
+    return tuple(tuple(entry(i, j) for j in range(big_n)) for i in range(big_n))
+
+
+def permutation_reference(p):
+    n = p.n
+    return tuple(
+        tuple(1 if r + 1 == p(c + 1) else 0 for c in range(n)) for r in range(n)
+    )
+
+
 def test_primes():
     assert first_primes(8) == [2, 3, 5, 7, 11, 13, 17, 19]
 
@@ -96,6 +153,8 @@ def test_primes():
 def test_block_matrix_displays():
     assert block_matrix(5).rows == BLOCK5
     assert block_matrix(2).rows == ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+    for k in range(1, 41):
+        assert block_matrix(k).rows == block_reference(k)
 
 
 def test_block_matrix_determinants():
@@ -107,6 +166,10 @@ def test_banded_and_bordered_displays():
     assert banded_matrix(5).rows == BANDED5
     assert beta_matrix(11).rows == BETA11
     assert beta_matrix(8).rows == EXAMPLE1_B_ROWS
+    for m in range(1, 61):
+        assert banded_matrix(m).rows == banded_reference(m)
+    for n in range(2, 61):
+        assert beta_matrix(n).rows == beta_reference(n)
 
 
 def test_beta_game_is_imitation():
@@ -121,6 +184,9 @@ def test_prime_block_game_small():
     assert game.A == IntMatrix.identity(4)
     assert prime_block_game(2).n == 8
     assert prime_block_game(3).n == 14
+    assert prime_block_reference(1) == PRIME_BLOCK_1
+    for k in range(1, 9):
+        assert prime_block_game(k).B.rows == prime_block_reference(k)
 
 
 def test_prime_block_ne_small():
@@ -182,6 +248,17 @@ def test_recurrence_identities_long_range():
             assert t.b(n) != 0
     for n in range(4, 201):
         assert t.det_b(n) == t.det_b(n - 1) + t.det_b(n - 3)
+
+
+def test_recurrence_check_rejects_a_corrupted_det_b():
+    good = recurrence_table(30)
+    _check_table(good)
+    det_b = list(good.det_b_values)
+    det_b[19] += 1
+    bad = RecurrenceTable(good.upto, good.a_values, good.b_values, tuple(det_b),
+                          good.g_values)
+    with pytest.raises(AssertionError, match=r"det_b\(20\) != 2\|b\(21\)\|"):
+        _check_table(bad)
 
 
 def test_banded_determinants_match_table():
@@ -446,6 +523,12 @@ def test_permutation_matrix_convention():
     for i in range(1, 4):
         col = m.column(i)
         assert col.index(1) + 1 == p(i)
+    rng = random.Random(30)
+    for n in range(1, 31):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        p = Permutation(images)
+        assert p.matrix().rows == permutation_reference(p)
 
 
 def test_permutation_game_identity():
@@ -496,6 +579,9 @@ def test_recurrence_constants_match_displayed_values():
     assert c.w1 == pytest.approx(0.169, abs=5e-4)
     assert c.w2.real == pytest.approx(-0.251, abs=5e-4)
     assert c.w2.imag == pytest.approx(0.02, abs=5e-4)
+    # the values a float Gauss-Jordan fit to b_1..b_4 gives
+    assert abs(c.w1 - 0.16922568795898119) < 1e-12
+    assert abs(c.w2 - complex(-0.2512795106461572, 0.019978170675162273)) < 1e-12
 
 
 def test_recurrence_constants_are_roots():
