@@ -27,7 +27,12 @@ def show(game, title):
         for row in m.rows:
             print("   ", " ".join(str(v) for v in row))
     report = support_enumeration(game)
-    print(f"supports examined: {report.enumerated_supports}")
+    examined = report.enumerated_supports
+    if game.constant_sum is not None and examined == 1:
+        print("supports examined: 1 (the full-support pair certifies the"
+              " unique equilibrium of this constant-sum game)")
+    else:
+        print(f"supports examined: {examined}")
     print(f"equilibria found: {len(report.equilibria)}")
     for prof in report.equilibria:
         print(f"  x = {prof.x.numerators} / {prof.x.denominator}"

@@ -59,7 +59,17 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        rows = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = 1
+        return cls(rows)
+
+    def is_identity(self) -> bool:
+        """Whether each row holds a single 1, on the diagonal, and n - 1 zeros."""
+        zeros = self.n - 1
+        return all(
+            row[i] == 1 and row.count(0) == zeros for i, row in enumerate(self.rows)
+        )
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.rows)) if self.n else IntMatrix(())

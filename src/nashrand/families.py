@@ -420,7 +420,7 @@ def constant_sum_transform(game: Game, pi: Permutation, tau: Permutation) -> Gam
     players end up needing the same (large) denominator.
     """
     n = game.n
-    if game.A != IntMatrix.identity(n):
+    if not game.A.is_identity():
         raise HypothesisViolation("row player payoffs must be the identity")
     if not is_symmetric_under(game.B, pi, tau):
         raise SymmetryViolation("payoffs are not symmetric under (pi, tau)")

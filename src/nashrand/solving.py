@@ -27,6 +27,32 @@ the choices are exact:
         1 > 0; the pair is rejected before any tie or zero counts.
     I = J: y is uniform, and off-support rows pay 0 < 1/|S|, never a tie.
 
+Constant-sum games (A + B equal to one constant c everywhere, read off the
+payoffs) that are not imitation games first try a certificate: the loop's
+own last pair, I = J = all strategies, is solved on its own.  When both
+sides return a solution with no zero coordinate, that profile is the whole
+report, and the loop is skipped:
+
+    Uniqueness.  Every equilibrium of (A, c - A) is a pair of maximin
+        strategies (von Neumann).  Let y* be the fully mixed optimal y just
+        found, v the value, and x' any optimal x.  Then x'^T A >= v 1^T and
+        x'^T A y* = v; as y* > 0 everywhere, this forces x'^T A = v 1^T.
+        With sum x' = 1 that is the bordered system [A^T -1; 1^T 0], which
+        is nonsingular, so x' is unique.  The system the x side solves,
+        built on B^T = (cJ - A)^T, is singular exactly when this one is:
+        subtract c times the last row from the others, then negate them
+        and the last column.  The same argument, against the fully mixed
+        x*, makes y unique.
+    The flag stays False.  Any pair that passes both sides' checks is an
+        equilibrium, so it must be the fully supported one: the loop would
+        accept only I = J = all strategies, which has no off-support
+        strategy to tie and no zero coordinate.  So ``equilibria``,
+        ``c1_min``, ``c2_min`` and ``degenerate_flag`` equal the loop's.
+
+Otherwise (a singular system, a negative or zero coordinate) the loop runs
+unchanged.  Imitation games (I, J - I) are constant-sum too, and keep
+their own path.
+
 Enumeration order is ascending support size, then lexicographic supports,
 which makes reports deterministic.
 """
@@ -76,7 +102,8 @@ class SolveReport:
 
     ``enumerated_supports`` counts the support pairs (I, J) examined:
     C(2n, n) - 1 of them in general, and 2^n - 1 on imitation games, where
-    J = I, so each is a single support S.
+    J = I, so each is a single support S.  It is 1 on a constant-sum game
+    certified from the full-support pair alone (see the module docstring).
     """
 
     equilibria: tuple[Profile, ...]
@@ -117,9 +144,11 @@ def _enumerate(game: Game) -> SolveReport:
     n = game.n
     a = game.A.rows
     bt = tuple(zip(*game.B.rows))
-    imitation = all(
-        v == (i == j) for i, row in enumerate(a) for j, v in enumerate(row)
-    )
+    imitation = game.A.is_identity()
+    if not imitation:
+        report = _certify(n, a, bt)
+        if report is not None:
+            return report
     equilibria: list[Profile] = []
     degenerate = False
     examined = 0
@@ -149,6 +178,30 @@ def _enumerate(game: Game) -> SolveReport:
     c1 = min((complexity(p.x) for p in equilibria), default=None)
     c2 = min((complexity(p.y) for p in equilibria), default=None)
     return SolveReport(tuple(equilibria), c1, c2, degenerate, examined)
+
+
+def _certify(n: int, a: Rows, bt: Rows) -> SolveReport | None:
+    """The report of a constant-sum game from its full-support pair alone.
+
+    None unless A + B is constant and both sides' indifference systems on
+    all strategies have strictly positive solutions; then that profile is
+    the unique equilibrium (module docstring).
+    """
+    c = a[0][0] + bt[0][0]
+    if any(v + w != c for row, col in zip(a, zip(*bt)) for v, w in zip(row, col)):
+        return None
+    full = tuple(range(n))
+    rhs = [0] * n + [1]
+    y = _indifferent(a, full, full, rhs)
+    if y is None or 0 in y[1]:
+        return None
+    x = _indifferent(bt, full, full, rhs)
+    if x is None or 0 in x[1]:
+        return None
+    profile = Profile(_strategy(n, full, x[1], x[0]), _strategy(n, full, y[1], y[0]))
+    return SolveReport(
+        (profile,), complexity(profile.x), complexity(profile.y), False, 1
+    )
 
 
 def _indifferent(

@@ -70,6 +70,17 @@ def test_solve_example2(capsys):
     assert obj["equilibria"][0]["y"]["numerators"] == [str(v) for v in Y2_NUMERATORS]
 
 
+def test_solve_example2_matches_pair_loop_bytes(capsys):
+    # example2_solve.json is the output of the full pair loop, which examined
+    # C(16, 8) - 1 = 12869 pairs; the certificate examines one, and every
+    # other line must stay byte for byte the same
+    rc, out = run_cli(capsys, "solve", str(GOLDEN / "example2.json"))
+    assert rc == 0
+    expected = (GOLDEN / "example2_solve.json").read_text()
+    count = '"enumerated_supports": '
+    assert out == expected.replace(count + "12869\n", count + "1\n")
+
+
 def test_solve_coordination_csv(capsys):
     rc, out = run_cli(
         capsys, "solve", str(DATA / "coordination_2x2.json"), "--format", "csv"

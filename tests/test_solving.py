@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,7 @@ from nashrand.games import (
     uniform,
 )
 from nashrand.solving import (
+    _certify,
     bounded_ne_exists,
     complexity_upper_bound,
     fully_mixed_ne,
@@ -338,6 +340,8 @@ def test_support_enumeration_matches_pair_loop_on_general_games():
         assert report.degenerate_flag == slow.degenerate_flag
         if game.A == IntMatrix.identity(n):
             assert report.enumerated_supports == 2**n - 1
+        elif game.constant_sum is not None:
+            assert report.enumerated_supports == 1
         else:
             assert report.enumerated_supports == math.comb(2 * n, n) - 1
         degenerate += slow.degenerate_flag
@@ -351,3 +355,136 @@ def test_near_identity_row_payoffs_take_pair_loop():
     game = Game(IntMatrix(rows), random_binary_matrix(random.Random(7), n))
     report = support_enumeration(game)
     assert report.enumerated_supports == math.comb(2 * n, n) - 1
+
+
+def _constant_sum_game(rows, c: int) -> Game:
+    b = IntMatrix([[c - v for v in row] for row in rows])
+    return Game(IntMatrix(rows), b, constant_sum=c)
+
+
+def _fully_mixed_core(rng: random.Random, k: int) -> list[list[int]]:
+    """k x k payoffs in -2..9: a permutation of 7s over noise in -2..2, so the
+    zero-sum game on them almost always has a fully mixed equilibrium."""
+    rows = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+    cols = list(range(k))
+    rng.shuffle(cols)
+    for row, j in zip(rows, cols):
+        row[j] += 7
+    return rows
+
+
+def _one_sided_game(rng: random.Random, k: int) -> list[list[int]]:
+    """(k+1) x (k+1) payoffs on which only one player can mix fully.
+
+    A core whose zero-sum game the pair loop solves with full supports gets
+    a copy of one of its rows and a column of 10s, which the column player
+    (who minimizes A) never plays: the row player may spread the copied
+    row's weight over both copies, the column player never uses every
+    column.  Or the same with the roles swapped: a copied column and a row
+    of -9s.  Rows and columns are then shuffled.
+    """
+    while True:
+        rows = _fully_mixed_core(rng, k)
+        eqs = enumerate_pairs(k, rows, [[-v for v in row] for row in rows]).equilibria
+        if any(len(p.x.support()) == len(p.y.support()) == k for p in eqs):
+            break
+    r = rng.randrange(k)
+    if rng.random() < 0.5:
+        rows = [row + [10] for row in rows + [list(rows[r])]]
+    else:
+        rows = [row + [row[r]] for row in rows] + [[-9] * (k + 1)]
+    rng.shuffle(rows)
+    cols = list(range(k + 1))
+    rng.shuffle(cols)
+    return [[row[j] for j in cols] for row in rows]
+
+
+def _row_value(game: Game, profile: Profile) -> Fraction:
+    x, y = profile.x, profile.y
+    total = sum(
+        p * v * q for p, row in zip(x.numerators, game.A.rows)
+        for v, q in zip(row, y.numerators)
+    )
+    return Fraction(total, x.denominator * y.denominator)
+
+
+def test_constant_sum_certificate_matches_pair_loop():
+    # Constant-sum games (A, c - A) with c in -7..2: random entries in -9..9,
+    # 0..1 and 0..2 (many with a pure saddle point, few fully mixed), games
+    # built around a fully mixed core, and games on which only one player
+    # can mix fully (the union of that player's equilibrium supports, and
+    # only that player's, covers every strategy).  The report must equal
+    # the pair loop's, order and degeneracy flag included, whichever path
+    # it took: the certificate (1 support pair, exactly when the pair loop
+    # finds an equilibrium on all strategies), the imitation path for
+    # A = I, or the full loop.
+    # Kaplansky's value det(A) / K(A) checks every certified game whose
+    # cofactor sum K(A) is nonzero.
+    rng = random.Random(6151)
+    games = []
+    for lo, hi in ((-9, 9), (0, 1), (0, 2)):
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+            games.append((_constant_sum_game(rows, rng.randint(-7, 2)), False))
+    for _ in range(30):
+        rows = _fully_mixed_core(rng, rng.randint(2, 6))
+        games.append((_constant_sum_game(rows, rng.randint(-7, 2)), False))
+    for _ in range(30):
+        rows = _one_sided_game(rng, rng.randint(2, 5))
+        games.append((_constant_sum_game(rows, rng.randint(-7, 2)), True))
+    paths = {"certified": 0, "imitation": 0, "loop": 0}
+    saddle = kaplansky = 0
+    for game, one_sided in games:
+        n = game.n
+        report = support_enumeration(game)
+        slow = enumerate_pairs(n, game.A.rows, game.B.rows)
+        assert report.equilibria == slow.equilibria
+        assert (report.c1_min, report.c2_min) == (slow.c1_min, slow.c2_min)
+        assert report.degenerate_flag == slow.degenerate_flag
+        every = tuple(range(1, n + 1))
+        full = [p for p in slow.equilibria if p.x.support() == p.y.support() == every]
+        if game.A.is_identity():
+            path, count = "imitation", 2**n - 1
+        elif full:
+            path, count = "certified", 1
+        else:
+            path, count = "loop", math.comb(2 * n, n) - 1
+        assert report.enumerated_supports == count
+        if n > 1:
+            paths[path] += 1
+        if one_sided:
+            xs = set().union(*(p.x.support() for p in slow.equilibria))
+            ys = set().union(*(p.y.support() for p in slow.equilibria))
+            assert (len(xs) == n) != (len(ys) == n)
+        saddle += any(complexity(p.x) == complexity(p.y) == 1 for p in slow.equilibria)
+        if full and cofactor_sum(game.A):
+            value = Fraction(det(game.A), cofactor_sum(game.A))
+            assert _row_value(game, report.equilibria[0]) == value
+            kaplansky += 1
+    assert min(paths.values()) > 0 and saddle > 0 and kaplansky > 0
+
+
+def _check_certified(game: Game, profile: Profile) -> None:
+    report = _certify(game.n, game.A.rows, tuple(zip(*game.B.rows)))
+    assert report is not None
+    assert report.equilibria == (profile,)
+    assert report.c1_min == complexity(profile.x)
+    assert report.c2_min == complexity(profile.y)
+    assert report.degenerate_flag is False
+    assert report.enumerated_supports == 1
+    k = cofactor_sum(game.A)
+    if k:
+        assert _row_value(game, profile) == Fraction(det(game.A), k)
+
+
+def test_certificate_returns_constant_sum_beta_closed_form():
+    for n in (*range(8, 25), *range(25, 81, 7), *range(81, 152, 14)):
+        game, profile, _ = constant_sum_beta(n)
+        _check_certified(game, profile)
+
+
+def test_certificate_returns_constant_sum_prime_block_closed_form():
+    for k in range(1, 11):
+        game, profile, _ = constant_sum_prime_block(k)
+        _check_certified(game, profile)
