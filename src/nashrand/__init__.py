@@ -23,7 +23,7 @@ from .errors import (
     UnknownFamily,
     UnsupportedDimension,
 )
-from .exact import IntMatrix, cofactor_sum, det, solve_exact
+from .exact import IntMatrix, cofactor_sum, det
 from .families import (
     AsymptoticReport,
     Permutation,

@@ -75,6 +75,9 @@ _SCAN_FORMS = {
 SCAN_FAMILIES = tuple(_SCAN_FORMS)
 # largest `recurrence --to`: the CSV grows as N^2 / 4 bytes (24 MB at the cap)
 RECURRENCE_CAP = 10_000
+# largest side of a family payoff matrix that gen and scan build; a scan
+# row's elimination is cubic in the side (about 1 s for the largest admitted)
+FAMILY_CAP = 500
 
 
 def _write(text: str, out: str | None) -> None:
@@ -83,6 +86,21 @@ def _write(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _check_family_size(family: str, n: int) -> None:
+    """Refuse a family matrix above FAMILY_CAP before any of it is built."""
+    side, at_least = n, ""
+    if family.endswith("primeblock"):
+        # a block of p + 1 strategies per prime, plus the border; FAMILY_CAP
+        # primes already overshoot the cap, so no more are sieved
+        side = 1 + sum(p + 1 for p in families.first_primes(min(n, FAMILY_CAP)))
+        at_least = "at least " if n > FAMILY_CAP else ""
+    if side > FAMILY_CAP:
+        raise DimensionTooLarge(
+            f"{family} --n {n} needs a payoff matrix of side {at_least}{side}, "
+            f"above the family cap {FAMILY_CAP} (elimination cost grows as the cube)"
+        )
 
 
 def generate_family(family: str, n: int | None) -> Game:
@@ -95,6 +113,7 @@ def generate_family(family: str, n: int | None) -> Game:
         raise UnknownFamily(f"unknown family {family!r}; choose from {GEN_FAMILIES}")
     if n is None:
         raise UnsupportedDimension(f"family {family!r} requires --n")
+    _check_family_size(family, n)
     return _GENERATORS[family](n)
 
 
@@ -215,6 +234,8 @@ def _scan_row(family: str, n: int) -> dict:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    if args.stop >= args.start:
+        _check_family_size(args.family, args.stop)
     rows = [_scan_row(args.family, n) for n in range(args.start, args.stop + 1)]
     lines = ["n,c1,c2,log2_c1_over_n,g_n,abs_det,abs_k,wallclock_ms"]
     for row in rows:
@@ -328,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="enumerate all extreme equilibria")
+    p = sub.add_parser(
+        "solve", help="enumerate equilibria over equal-size supports "
+        "(an incomplete answer is flagged degenerate)")
     p.add_argument("game", help="game JSON file")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -6,7 +6,12 @@ class NashrandError(Exception):
 
 
 class SingularMatrix(NashrandError):
-    """Raised when an exact solve meets a matrix with determinant zero."""
+    """A matrix has determinant zero.
+
+    No library function raises it: every exact solve reports a singular
+    system as a zero determinant.  It stays exported for callers that catch
+    it, such as the ``fully_mixed_ne`` screen in ``perfbench``.
+    """
 
 
 class NotADistribution(NashrandError):
@@ -22,7 +27,12 @@ class DepthTooLarge(NashrandError):
 
 
 class NoEquilibriumFound(NashrandError):
-    """Enumeration finished without equilibria (only possible when capped)."""
+    """Enumeration finished without equilibria.
+
+    Only equal-size supports are searched, so this happens on degenerate
+    games whose equilibria all have unequal supports; such a report is
+    always flagged degenerate.
+    """
 
 
 class UnsupportedDimension(NashrandError):

@@ -1,10 +1,10 @@
 """Exact linear algebra over square integer matrices.
 
-Everything here is computed with unbounded Python integers and
-``fractions.Fraction``; no floating point is involved.  Determinants,
-solves and cofactor sums all run through one fraction-free (Bareiss)
-elimination, ``eliminate``, which keeps intermediate entries integral and
-divisions exact, so matrices of a few hundred rows stay cheap.
+Everything here is computed with unbounded Python integers; no fraction
+or floating point is involved.  Determinants, solves and cofactor sums
+all run through one fraction-free (Bareiss) elimination, ``eliminate``,
+which keeps intermediate entries integral and divisions exact, so
+matrices of a few hundred rows stay cheap.
 
 Bareiss step k replaces each row i below the pivot p_k by
 (row_i * p_k - a_ik * row_k) / p_{k-1}; by Sylvester's identity every
@@ -25,20 +25,11 @@ The cofactor sum K(M) = 1^T adj(M) 1 comes from the same kernel by the
 matrix determinant lemma det(M + 1 1^T) = det(M) + 1^T adj(M) 1: when
 det(M) != 0 it is the entry sum of adj(M) @ 1, and otherwise it is
 det(M + J), with J the all-ones matrix.
-
-``IntMatrix.entry`` and ``IntMatrix.column`` take 1-based indices, the
-usual linear-algebra convention.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .errors import SingularMatrix
-
-Rational = int | Fraction
 
 
 class IntMatrix:
@@ -70,17 +61,6 @@ class IntMatrix:
         return all(
             row[i] == 1 and row.count(0) == zeros for i, row in enumerate(self.rows)
         )
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows)) if self.n else IntMatrix(())
-
-    def entry(self, i: int, j: int) -> int:
-        """1-based entry access."""
-        return self.rows[i - 1][j - 1]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        """1-based column extraction."""
-        return tuple(row[j - 1] for row in self.rows)
 
     def max_abs(self) -> int:
         return max((abs(v) for row in self.rows for v in row), default=0)
@@ -188,19 +168,3 @@ def cofactor_sum(m: IntMatrix, *, method: str = "solve") -> int:
         return sum(y)
     return eliminate([[v + 1 for v in row] for row in m.rows])[0]
 
-
-def solve_exact(m: IntMatrix, rhs: Sequence[Rational]) -> tuple[Fraction, ...]:
-    """Unique exact solution of ``m @ x = rhs``.
-
-    Raises SingularMatrix when the determinant is zero.  Rational
-    right-hand sides are supported by clearing denominators first.
-    """
-    if len(rhs) != m.n:
-        raise ValueError(f"rhs has length {len(rhs)}, need {m.n}")
-    b = [Fraction(v) for v in rhs]
-    scale = math.lcm(*(v.denominator for v in b))
-    b_int = [int(v * scale) for v in b]
-    d, y = eliminate([list(row) for row in m.rows], b_int)
-    if d == 0:
-        raise SingularMatrix("matrix has determinant zero")
-    return tuple(Fraction(v, d * scale) for v in y)

@@ -18,7 +18,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotADistribution
-from .exact import IntMatrix, Rational
+from .exact import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -44,19 +44,12 @@ class MixedStrategy:
     def n(self) -> int:
         return len(self.numerators)
 
-    def probabilities(self) -> tuple[Fraction, ...]:
-        q = self.denominator
-        return tuple(Fraction(p, q) for p in self.numerators)
-
     def support(self) -> tuple[int, ...]:
         """1-based indices played with positive probability."""
         return tuple(i + 1 for i, p in enumerate(self.numerators) if p > 0)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(self.numerators[i], self.denominator)
 
-
-def canonicalize(raw: Sequence[Rational]) -> MixedStrategy:
+def canonicalize(raw: Sequence[int | Fraction]) -> MixedStrategy:
     """Reduce a distribution to its canonical numerators-over-q form."""
     probs = [Fraction(v) for v in raw]
     if any(p < 0 for p in probs):

@@ -51,7 +51,8 @@ report, and the loop is skipped:
 
 Otherwise (a singular system, a negative or zero coordinate) the loop runs
 unchanged.  Imitation games (I, J - I) are constant-sum too, and keep
-their own path.
+their own path.  ``fully_mixed_ne`` is the same last pair, solved by the
+same helper on any game.
 
 Enumeration order is ascending support size, then lexicographic supports,
 which makes reports deterministic.
@@ -66,14 +67,13 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .errors import DimensionTooLarge, NoEquilibriumFound, SingularMatrix
+from .errors import DimensionTooLarge, NoEquilibriumFound
 from .exact import eliminate
 from .games import (
     Game,
     MixedStrategy,
     Profile,
     complexity,
-    is_nash,
     pure,
 )
 
@@ -183,13 +183,27 @@ def _enumerate(game: Game) -> SolveReport:
 def _certify(n: int, a: Rows, bt: Rows) -> SolveReport | None:
     """The report of a constant-sum game from its full-support pair alone.
 
-    None unless A + B is constant and both sides' indifference systems on
-    all strategies have strictly positive solutions; then that profile is
-    the unique equilibrium (module docstring).
+    None unless A + B is constant and ``_full_support`` finds an
+    equilibrium; then that profile is the unique one (module docstring).
     """
     c = a[0][0] + bt[0][0]
     if any(v + w != c for row, col in zip(a, zip(*bt)) for v, w in zip(row, col)):
         return None
+    profile = _full_support(n, a, bt)
+    if profile is None:
+        return None
+    return SolveReport(
+        (profile,), complexity(profile.x), complexity(profile.y), False, 1
+    )
+
+
+def _full_support(n: int, a: Rows, bt: Rows) -> Profile | None:
+    """The loop's last pair, I = J = all strategies, solved on its own.
+
+    The profile when both sides' indifference systems have strictly
+    positive solutions, else None.  Such a profile leaves no pure strategy
+    off the support, so it is an equilibrium.
+    """
     full = tuple(range(n))
     rhs = [0] * n + [1]
     y = _indifferent(a, full, full, rhs)
@@ -198,10 +212,7 @@ def _certify(n: int, a: Rows, bt: Rows) -> SolveReport | None:
     x = _indifferent(bt, full, full, rhs)
     if x is None or 0 in x[1]:
         return None
-    profile = Profile(_strategy(n, full, x[1], x[0]), _strategy(n, full, y[1], y[0]))
-    return SolveReport(
-        (profile,), complexity(profile.x), complexity(profile.y), False, 1
-    )
+    return Profile(_strategy(n, full, x[1], x[0]), _strategy(n, full, y[1], y[0]))
 
 
 def _indifferent(
@@ -254,41 +265,20 @@ def min_complexities(game: Game, max_n: int | None = None) -> tuple[int, int]:
     """Least complexities any equilibrium demands of each player."""
     report = support_enumeration(game, max_n)
     if report.c1_min is None or report.c2_min is None:
-        # cannot happen for a full enumeration: every finite game has a NE
+        # only equal-size supports are searched, so a degenerate game can
+        # come back empty; that report always carries the degeneracy flag
         raise NoEquilibriumFound("no equilibrium found within support limits")
     return report.c1_min, report.c2_min
 
 
 def fully_mixed_ne(game: Game) -> Profile | None:
-    """The unique fully mixed equilibrium candidate, if it is one.
+    """The equilibrium the support loop accepts on its last pair, or None.
 
-    Solves B^T x = 1 and A y = 1 (SingularMatrix if either is singular),
-    normalizes, and returns the profile only when every coordinate is
-    positive and the best-response check passes.
+    That pair is I = J = all strategies.  A singular payoff matrix needs no
+    special case: only the bordered indifference systems must be
+    nonsingular, as on every other pair.
     """
-    x = _normalized_solution([list(col) for col in zip(*game.B.rows)])
-    y = _normalized_solution([list(row) for row in game.A.rows])
-    if x is None or y is None:
-        return None
-    profile = Profile(x, y)
-    if not is_nash(game, profile):
-        return None
-    return profile
-
-
-def _normalized_solution(m: list[list[int]]) -> MixedStrategy | None:
-    """m^-1 1 scaled to sum 1, or None unless every coordinate is positive."""
-    n = len(m)
-    d, z = eliminate(m, [1] * n)
-    if not d:
-        raise SingularMatrix("matrix has determinant zero")
-    s = sum(z)
-    if s < 0:
-        s, z = -s, [-t for t in z]
-    # z != 0 because m z = d 1, so a zero sum leaves a negative coordinate
-    if any(t <= 0 for t in z):
-        return None
-    return _strategy(n, range(n), z, s)
+    return _full_support(game.n, game.A.rows, tuple(zip(*game.B.rows)))
 
 
 def bounded_ne_exists(
@@ -296,8 +286,10 @@ def bounded_ne_exists(
 ) -> bool:
     """Whether the capability-restricted game still has an equilibrium.
 
-    Restricting players to complexities c1, c2 admits an equilibrium
-    exactly when the unrestricted game has one within those caps.
+    True when an equilibrium found by ``support_enumeration`` lies within
+    the caps c1, c2.  Only equal-size supports are searched, so on a game
+    whose report is flagged degenerate a False can miss an equilibrium with
+    unequal supports; an incomplete answer is always flagged that way.
     """
     if c1 < 1 or c2 < 1:
         raise ValueError("capabilities must be >= 1")

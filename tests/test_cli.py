@@ -428,3 +428,33 @@ def test_recurrence_refuses_oversized_table(capsys):
     err = capsys.readouterr().err
     assert "--to 100000000" in err and "cap 10000" in err
     assert "2500000000000000 bytes" in err
+
+
+def test_gen_refuses_oversized_family_matrix(capsys):
+    start = time.perf_counter()
+    rc = main(["gen", "beta", "--n", "20000"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "side 20000" in err and "cap 500" in err
+
+
+def test_scan_refuses_oversized_family_matrix(capsys):
+    # the k = 40 row would be a 3128 x 3128 elimination; nothing is built
+    start = time.perf_counter()
+    rc = main(["scan", "primeblock", "--from", "1", "--to", "40"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "primeblock --n 40" in captured.err and "side 3128" in captured.err
+
+
+def test_family_cap_admits_the_sizes_in_use():
+    # largest gen/scan sizes of the tests, demos and benchmark, and the
+    # largest prime-block instance under the cap (side 458)
+    from nashrand.cli import _check_family_size
+
+    for family, n in (("beta", 400), ("primeblock", 12), ("constsum-beta", 119),
+                      ("constsum-primeblock", 17)):
+        _check_family_size(family, n)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -6,13 +7,11 @@ import pytest
 
 from conftest import (
     cofactor_sum_definition,
-    mat_vec,
     random_binary_matrix,
     random_int_matrix,
     replace_column,
 )
-from nashrand.errors import SingularMatrix
-from nashrand.exact import IntMatrix, cofactor_sum, det, eliminate, solve_exact
+from nashrand.exact import IntMatrix, cofactor_sum, det, eliminate
 from nashrand.families import beta_matrix, block_matrix, prime_block_game
 
 
@@ -123,7 +122,7 @@ def test_det_transpose_and_column_swap():
     rng = random.Random(7)
     for _ in range(40):
         m = random_int_matrix(rng, 4, -9, 9)
-        assert det(m.transpose()) == det(m)
+        assert det(IntMatrix(zip(*m.rows))) == det(m)
         swapped = IntMatrix(
             [(r[1], r[0], r[2], r[3]) for r in m.rows]
         )
@@ -244,20 +243,23 @@ def test_cofactor_sum_singular_matches_definition():
         cofactor_sum(cases[0], method="definition")
 
 
-def test_solve_exact_identity():
-    assert solve_exact(IntMatrix.identity(3), (1, 2, 3)) == (1, 2, 3)
+def test_eliminate_identity():
+    assert eliminate([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 3]) == (1, [1, 2, 3])
 
 
-def test_solve_exact_two_by_two():
-    assert solve_exact(IntMatrix([[1, 1], [1, -1]]), (2, 0)) == (1, 1)
+def test_eliminate_two_by_two():
+    # x = y / d = (1, 1)
+    assert eliminate([[1, 1], [1, -1]], [2, 0]) == (-2, [-2, -2])
 
 
-def test_solve_exact_bordered_banded_transpose():
-    sol = solve_exact(beta_matrix(8).transpose(), [1] * 8)
-    assert sol == tuple(Fraction(p, 9) for p in (6, 2, 3, 1, 4, 5, 4, 9))
+def test_eliminate_bordered_banded_transpose():
+    d, y = eliminate([list(col) for col in zip(*beta_matrix(8).rows)], [1] * 8)
+    assert [Fraction(v, d) for v in y] == [
+        Fraction(p, 9) for p in (6, 2, 3, 1, 4, 5, 4, 9)
+    ]
 
 
-def test_solve_exact_rational_rhs_and_backsubstitution():
+def test_eliminate_backsubstitution_on_scaled_rational_rhs():
     rng = random.Random(99)
     solved = 0
     while solved < 25:
@@ -267,23 +269,19 @@ def test_solve_exact_rational_rhs_and_backsubstitution():
         rhs = tuple(
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)
         )
-        x = solve_exact(m, rhs)
-        assert mat_vec(m, x) == rhs
+        scale = math.lcm(*(v.denominator for v in rhs))
+        rhs = [int(v * scale) for v in rhs]
+        d, y = eliminate([list(r) for r in m.rows], rhs)
+        assert [sum(map(mul, r, y)) for r in m.rows] == [d * v for v in rhs]
         solved += 1
-
-
-def test_solve_exact_singular_raises():
-    with pytest.raises(SingularMatrix):
-        solve_exact(IntMatrix([[1, 2], [2, 4]]), (1, 1))
 
 
 def _hypothesis_matrix(rng: random.Random, n: int) -> IntMatrix:
     """Random binary invertible matrix whose all-ones solve is nonnegative."""
     while True:
         m = random_binary_matrix(rng, n)
-        if det(m) == 0:
-            continue
-        if all(v >= 0 for v in solve_exact(m, [1] * n)):
+        d, y = eliminate([list(r) for r in m.rows], [1] * n)
+        if d and all(v * d >= 0 for v in y):
             return m
 
 

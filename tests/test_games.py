@@ -61,7 +61,7 @@ def test_canonicalize_idempotent_on_random_distributions():
             weights[0] = 1
         total = sum(weights)
         x = canonicalize([Fraction(w, total) for w in weights])
-        again = canonicalize(x.probabilities())
+        again = canonicalize([Fraction(p, x.denominator) for p in x.numerators])
         assert again == x
 
 
@@ -134,8 +134,8 @@ def test_is_nash_coordination_pure():
 
 
 def _is_nash_by_deviation(game: Game, profile: Profile) -> bool:
-    x = profile.x.probabilities()
-    y = profile.y.probabilities()
+    x = [Fraction(p, profile.x.denominator) for p in profile.x.numerators]
+    y = [Fraction(q, profile.y.denominator) for q in profile.y.numerators]
     n = game.n
     u1 = sum(x[i] * game.A.rows[i][j] * y[j] for i in range(n) for j in range(n))
     u2 = sum(x[i] * game.B.rows[i][j] * y[j] for i in range(n) for j in range(n))

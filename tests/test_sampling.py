@@ -125,8 +125,8 @@ def test_analyze_thirds():
 def test_analyze_showcase_distribution_deep():
     report = analyze(DdgSampler(X1), 64)
     assert report.tail <= Fraction(8, 2**64)
-    for r, p in zip(report.resolved, X1.probabilities()):
-        assert abs(r - p) <= report.tail
+    for r, p in zip(report.resolved, X1.numerators):
+        assert abs(r - Fraction(p, X1.denominator)) <= report.tail
     h = entropy(X1)
     assert h - 1e-9 <= report.expected_bits <= h + 2
 

@@ -13,7 +13,7 @@ from conftest import (
     random_binary_matrix,
     random_int_matrix,
 )
-from nashrand.errors import DimensionTooLarge, SingularMatrix
+from nashrand.errors import DimensionTooLarge
 from nashrand.exact import IntMatrix, cofactor_sum, det
 from nashrand.families import (
     beta_game,
@@ -134,7 +134,7 @@ def test_imitation_games_have_nested_supports(corpus):
             sx = set(profile.x.support())
             sy = set(profile.y.support())
             assert sx <= sy
-            seen = {profile.y[j - 1] for j in sy}
+            seen = {profile.y.numerators[j - 1] for j in sy}
             assert len(seen) == 1
 
 
@@ -162,9 +162,40 @@ def test_fully_mixed_ne_absent_when_negative():
 
 
 def test_fully_mixed_ne_singular():
+    # every x is an equilibrium against uniform y, so the x-side system of
+    # the full-support pair is singular and the loop accepts no such pair
     game = Game(IntMatrix.identity(2), IntMatrix([[1, 1], [1, 1]]))
-    with pytest.raises(SingularMatrix):
-        fully_mixed_ne(game)
+    assert fully_mixed_ne(game) is None
+
+
+def test_fully_mixed_ne_matches_pair_loop_including_singular_games():
+    # fully_mixed_ne is the loop's last pair: it returns the oracle's one
+    # equilibrium whose two supports are full, or None when there is none
+    pennies = IntMatrix([[1, -1], [-1, 1]])  # value 0, and singular
+    games = [Game(pennies, IntMatrix([[-1, 1], [1, -1]]))]
+    rng = random.Random(1111)
+    for lo, hi in ((-2, 2), (0, 1)):
+        for _ in range(1000):
+            n = rng.randint(2, 4)
+            games.append(
+                Game(random_int_matrix(rng, n, lo, hi), random_int_matrix(rng, n, lo, hi))
+            )
+    singular = singular_hits = 0
+    for game in games:
+        n = game.n
+        full = [
+            p
+            for p in enumerate_pairs(n, game.A.rows, game.B.rows).equilibria
+            if len(p.x.support()) == len(p.y.support()) == n
+        ]
+        assert len(full) <= 1
+        got = fully_mixed_ne(game)
+        assert got == (full[0] if full else None)
+        if det(game.A) == 0 or det(game.B) == 0:
+            singular += 1
+            singular_hits += got is not None
+    assert fully_mixed_ne(games[0]) == Profile(uniform(2), uniform(2))
+    assert singular >= 1000 and singular_hits >= 10
 
 
 def test_bounded_ne_exists_gate(corpus):
@@ -278,6 +309,18 @@ def test_degenerate_flag_raised_on_tied_off_support_column():
     b = IntMatrix([[1, 1], [0, 0]])
     report = support_enumeration(Game(a, b))
     assert report.degenerate_flag
+
+
+def test_unequal_support_equilibria_are_flagged_degenerate():
+    # the equilibria are x = (t, 1 - t, 0) against y = e2, t in [1/3, 2/3];
+    # the extreme ones pair supports of sizes 2 and 1, which the loop never
+    # examines, so its answer is incomplete and must carry the flag
+    game = Game(
+        IntMatrix([[0, 1, 1], [1, 1, 0], [0, 0, 0]]),
+        IntMatrix([[3, 2, 0], [0, 2, 3], [0, 0, 0]]),
+    )
+    assert is_nash(game, Profile(MixedStrategy((1, 2, 0), 3), pure(3, 2)))
+    assert support_enumeration(game).degenerate_flag
 
 
 def test_imitation_path_matches_pair_loop():

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import nashrand
@@ -16,3 +17,23 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # the engine is standard-library-only; relative imports stay in-package
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in _absolute_imports(node)
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert found == []
+
+
+def _absolute_imports(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
