@@ -36,6 +36,8 @@ _PRIMES: list[int] = [2, 3, 5, 7, 11, 13]
 
 def first_primes(count: int) -> list[int]:
     """First ``count`` primes, extending a cached incremental sieve."""
+    if count < 0:
+        raise ValueError(f"prime count must be >= 0, got {count}")
     while len(_PRIMES) < count:
         candidate = _PRIMES[-1] + 2
         while True:

@@ -15,6 +15,35 @@ nondegenerate game; a degeneracy flag is raised whenever evidence to the
 contrary shows up (an off-support pure strategy tied with the support
 payoff, or a solved support coordinate landing on zero).
 
+Before a pair is solved, it is skipped when strict conditional dominance
+(Porter, Nudelman and Shoham, "Simple search methods for finding a Nash
+equilibrium", GEB 2008) rules it out:
+
+    some row i in I of A is strictly beaten, on every column of J, by
+        another row of A (on or off I); or
+    some column j in J of B is strictly beaten, on every row of I, by
+        another column of B.
+
+The skip is exact.  Take such a row i and its beating row o.  Against any
+y >= 0 on J with sum 1, row o pays strictly more than row i.  So
+``_indifferent(A, I, J, ...)`` returns None: if o is off I it pays more
+than the support payoff, and if o is in I the system asks o and i to pay
+the same, so it is singular or its solution has a negative coordinate.
+The column case is the same argument on (B^T, J, I).  A pair with a None
+side never touches ``equilibria``, their order, the minima or the
+degeneracy flag, so every report is the one the full loop gives.  The
+test must be strict: a weakly beaten row can still tie, and ties and zero
+coordinates raise the flag.
+
+Each side has one table per game, ``_beaten``: for every mask of columns,
+the mask of rows beaten on all of them.  It holds 2^n ints (1,024, about
+8 KB, at n = 10) and is built only after the ``max_n`` check, so it stays
+small for every n whose C(2n, n) loop could finish.  For each I, J ranges
+over the combinations of the columns that B leaves alive given I, in the
+same lexicographic order, and is then tested against A's table.
+Imitation games (below) use B's table alone: there J = I, and no row of
+the identity beats row r on a column set that contains r.
+
 Imitation games (A the identity) differ in two data choices only: J ranges
 over (I,) alone, so 2^n - 1 supports S are examined rather than C(2n, n) - 1
 pairs, and y is the constant uniform strategy on S (McLennan and Tourky,
@@ -84,26 +113,34 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 def resolve_max_n(max_n: int | None = None) -> int:
-    """Explicit argument beats the NASHRAND_MAX_N environment variable."""
+    """Explicit argument beats the NASHRAND_MAX_N environment variable.
+
+    A limit below 1 from either source is a ValueError.
+    """
     if max_n is not None:
-        return max_n
-    env = os.environ.get(MAX_N_ENV)
-    if env is not None:
+        source, limit = "enumeration limit", max_n
+    else:
+        env = os.environ.get(MAX_N_ENV)
+        if env is None:
+            return DEFAULT_MAX_N
         try:
-            return int(env)
+            source, limit = MAX_N_ENV, int(env)
         except ValueError:
             raise ValueError(f"{MAX_N_ENV} must be an integer, got {env!r}")
-    return DEFAULT_MAX_N
+    if limit < 1:
+        raise ValueError(f"{source} must be >= 1, got {limit}")
+    return limit
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Every equilibrium support enumeration found, in enumeration order.
 
-    ``enumerated_supports`` counts the support pairs (I, J) examined:
-    C(2n, n) - 1 of them in general, and 2^n - 1 on imitation games, where
-    J = I, so each is a single support S.  It is 1 on a constant-sum game
-    certified from the full-support pair alone (see the module docstring).
+    ``enumerated_supports`` counts the support pairs (I, J) covered, those
+    skipped by strict dominance included: C(2n, n) - 1 of them in general,
+    and 2^n - 1 on imitation games, where J = I, so each is a single
+    support S.  It is 1 on a constant-sum game certified from the
+    full-support pair alone (see the module docstring).
     """
 
     equilibria: tuple[Profile, ...]
@@ -149,16 +186,26 @@ def _enumerate(game: Game) -> SolveReport:
         report = _certify(n, a, bt)
         if report is not None:
             return report
+    # pairs that strict conditional dominance rules out are skipped
+    a_beaten = None if imitation else _beaten(a)
+    b_beaten = _beaten(bt)
     equilibria: list[Profile] = []
     degenerate = False
-    examined = 0
     for k in range(1, n + 1):
-        supports = list(combinations(range(n), k))
+        masks = {S: _mask(S) for S in combinations(range(n), k)}
         rhs = [0] * k + [1]
         uniform_y = (k, [1] * k, False)
-        for I in supports:
-            for J in (I,) if imitation else supports:
-                examined += 1
+        for I, i_mask in masks.items():
+            dead = b_beaten[i_mask]
+            if imitation:
+                pairs = [] if dead & i_mask else [I]
+            else:
+                alive = [j for j in range(n) if not dead >> j & 1]
+                pairs = [
+                    J for J in combinations(alive, k)
+                    if not a_beaten[masks[J]] & i_mask
+                ]
+            for J in pairs:
                 y = uniform_y if imitation else _indifferent(a, I, J, rhs)
                 if y is None:
                     continue
@@ -177,7 +224,32 @@ def _enumerate(game: Game) -> SolveReport:
                 )
     c1 = min((complexity(p.x) for p in equilibria), default=None)
     c2 = min((complexity(p.y) for p in equilibria), default=None)
-    return SolveReport(tuple(equilibria), c1, c2, degenerate, examined)
+    covered = 2**n - 1 if imitation else math.comb(2 * n, n) - 1
+    return SolveReport(tuple(equilibria), c1, c2, degenerate, covered)
+
+
+def _mask(indices: Iterable[int]) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _beaten(m: Rows) -> list[int]:
+    """For each mask of columns of ``m``, the mask of its beaten rows.
+
+    Row r is beaten on a column mask when some other row of ``m`` pays
+    strictly more on every column in it.  Each pair of rows adds r to every
+    nonempty subset of the columns where the other row is greater, so the
+    table costs the sum of 2^|g| over those sets g, not n^2 2^n.
+    """
+    beaten = [0] * (1 << len(m[0]))
+    for r, row in enumerate(m):
+        bit = 1 << r
+        for other in m:
+            g = _mask(j for j, (p, q) in enumerate(zip(other, row)) if p > q)
+            sub = g
+            while sub:
+                beaten[sub] |= bit
+                sub = (sub - 1) & g
+    return beaten
 
 
 def _certify(n: int, a: Rows, bt: Rows) -> SolveReport | None:

@@ -391,6 +391,20 @@ def test_max_n_env_override(tmp_path, capsys, monkeypatch):
     assert rc == 4
 
 
+def test_max_n_below_one_exits_two(tmp_path, capsys, monkeypatch):
+    game_path = tmp_path / "beta8.json"
+    run_cli(capsys, "gen", "beta", "--n", "8", "--out", str(game_path))
+    for argv in (("solve", str(game_path), "--max-n", "-3"),
+                 ("solve", str(game_path), "--max-n", "0"),
+                 ("bound", str(game_path), "--max-n", "-3")):
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+    monkeypatch.setenv("NASHRAND_MAX_N", "0")
+    assert main(["solve", str(game_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "NASHRAND_MAX_N" in err
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "nashrand.cli"],

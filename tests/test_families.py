@@ -150,6 +150,14 @@ def test_primes():
     assert first_primes(8) == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+def test_first_primes_refuses_negative_count():
+    assert first_primes(0) == []
+    for count in (-1, -3):
+        with pytest.raises(ValueError):
+            first_primes(count)
+    assert first_primes(3) == [2, 3, 5]
+
+
 def test_block_matrix_displays():
     assert block_matrix(5).rows == BLOCK5
     assert block_matrix(2).rows == ((1, 1, 0), (0, 1, 1), (1, 0, 1))

@@ -13,6 +13,7 @@ from conftest import (
     random_binary_matrix,
     random_int_matrix,
 )
+from nashrand import solving
 from nashrand.errors import DimensionTooLarge
 from nashrand.exact import IntMatrix, cofactor_sum, det
 from nashrand.families import (
@@ -31,6 +32,7 @@ from nashrand.games import (
     uniform,
 )
 from nashrand.solving import (
+    _beaten,
     _certify,
     bounded_ne_exists,
     complexity_upper_bound,
@@ -116,6 +118,15 @@ def test_max_n_resolution_precedence(monkeypatch):
     monkeypatch.setenv("NASHRAND_MAX_N", "junk")
     with pytest.raises(ValueError):
         resolve_max_n(None)
+    # a limit below 1 is refused from either source
+    assert resolve_max_n(1) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            resolve_max_n(bad)
+        monkeypatch.setenv("NASHRAND_MAX_N", str(bad))
+        with pytest.raises(ValueError):
+            resolve_max_n(None)
+    assert resolve_max_n(5) == 5
 
 
 def test_every_reported_equilibrium_is_nash(corpus):
@@ -389,6 +400,86 @@ def test_support_enumeration_matches_pair_loop_on_general_games():
             assert report.enumerated_supports == math.comb(2 * n, n) - 1
         degenerate += slow.degenerate_flag
     assert degenerate > 0
+
+
+def _beaten_by_definition(m) -> list[int]:
+    """Row r is beaten on column mask S iff some other row is greater on
+    every column of S; read straight off that definition."""
+    n_cols = len(m[0])
+    table = []
+    for mask in range(1 << n_cols):
+        cols = [j for j in range(n_cols) if mask >> j & 1]
+        table.append(sum(
+            1 << r for r, row in enumerate(m)
+            if cols and any(
+                o != r and all(other[j] > row[j] for j in cols)
+                for o, other in enumerate(m)
+            )
+        ))
+    return table
+
+
+def test_beaten_table_matches_definition():
+    rng = random.Random(6101)
+    checked = fired = 0
+    for n in range(1, 8):
+        for lo, hi in ((-99, 99), (0, 1)):
+            for _ in range(3):
+                rows = random_int_matrix(rng, n, lo, hi).rows
+                # a copy of one row: equal rows never beat each other
+                copied = rows + (rows[rng.randrange(n)],)
+                for m in (rows, copied, tuple(zip(*copied))):
+                    table = _beaten(m)
+                    assert table == _beaten_by_definition(m)
+                    checked += 1
+                    fired += any(table)
+    same = ((3, -1, 4),) * 3
+    assert _beaten(same) == [0] * 8
+    assert checked == 126 and fired > 100
+
+
+def test_dominance_skip_keeps_pair_loop_reports(monkeypatch):
+    # seeded games where strict conditional dominance skips most pairs:
+    # entries in -99..99 at n = 6 and 7, binary ones at n = 6 (mostly
+    # degenerate), and the 3x3 game whose extreme equilibria have unequal
+    # supports; every report must equal the full pair loop's
+    rng = random.Random(3659)
+    unequal = Game(
+        IntMatrix([[0, 1, 1], [1, 1, 0], [0, 0, 0]]),
+        IntMatrix([[3, 2, 0], [0, 2, 3], [0, 0, 0]]),
+    )
+    ints = [
+        Game(random_int_matrix(rng, n, -99, 99), random_int_matrix(rng, n, -99, 99))
+        for n in (6,) * 6 + (7,) * 4
+    ]
+    binary = [
+        Game(random_binary_matrix(rng, 6), random_binary_matrix(rng, 6))
+        for _ in range(6)
+    ]
+    solved = []
+    indifferent = solving._indifferent
+    monkeypatch.setattr(
+        solving, "_indifferent",
+        lambda m, *args: solved.append(m) or indifferent(m, *args),
+    )
+    solving._enumerate.cache_clear()
+    degenerate = 0
+    for game in [unequal, *ints, *binary]:
+        n = game.n
+        report = support_enumeration(game)
+        slow = enumerate_pairs(n, game.A.rows, game.B.rows)
+        assert report.equilibria == slow.equilibria
+        assert (report.c1_min, report.c2_min) == (slow.c1_min, slow.c2_min)
+        assert report.degenerate_flag == slow.degenerate_flag
+        assert report.enumerated_supports == math.comb(2 * n, n) - 1
+        degenerate += slow.degenerate_flag
+    assert support_enumeration(unequal).equilibria == ()
+    assert support_enumeration(unequal).degenerate_flag
+    assert degenerate >= 3
+    # the skip fires: on the -99..99 games most y systems are never solved
+    a_rows = {game.A.rows for game in ints}
+    pairs = sum(math.comb(2 * game.n, game.n) - 1 for game in ints)
+    assert sum(m in a_rows for m in solved) < pairs // 5
 
 
 def test_near_identity_row_payoffs_take_pair_loop():
