@@ -2,8 +2,8 @@
 
 The library is organized around one number: the canonical denominator q of
 a rational mixed strategy, which measures the storage a player needs to
-sample that strategy exactly.  It provides exact integer/rational linear
-algebra, support enumeration for bimatrix games, game families whose unique
+sample that strategy exactly.  It provides exact integer linear algebra,
+support enumeration for bimatrix games, game families whose unique
 equilibria have extreme denominators, and a bit-exact sampler.
 """
 
@@ -30,17 +30,14 @@ from .families import (
     RecurrenceConstants,
     RecurrenceTable,
     asymptotic_checks,
-    banded_matrix,
     beta_game,
     beta_matrix,
     beta_ne,
-    block_matrix,
     constant_sum_beta,
     constant_sum_prime_block,
     constant_sum_transform,
     first_primes,
     is_symmetric_under,
-    pad_game,
     permutation_game,
     prime_block_game,
     prime_block_ne,
@@ -53,7 +50,6 @@ from .games import (
     Game,
     MixedStrategy,
     Profile,
-    canonicalize,
     capability_admissible,
     complexity,
     entropy,

@@ -74,6 +74,13 @@ def _block_cells(m: int, row: int, col: int) -> list[tuple[int, int]]:
 # the linear recurrences
 
 
+def _one_based(values: Sequence[int], i: int) -> int:
+    """values[i - 1]; an index below 1 raises instead of wrapping to the end."""
+    if i < 1:
+        raise IndexError(f"index {i} is below 1")
+    return values[i - 1]
+
+
 @dataclass(frozen=True)
 class RecurrenceTable:
     """Exact values of the coupled order-4 recurrences.
@@ -92,16 +99,16 @@ class RecurrenceTable:
     g_values: tuple[int, ...]      # g_1 .. g_upto
 
     def a(self, n: int) -> int:
-        return self.a_values[n - 1]
+        return _one_based(self.a_values, n)
 
     def b(self, n: int) -> int:
-        return self.b_values[n - 1]
+        return _one_based(self.b_values, n)
 
     def det_b(self, n: int) -> int:
-        return self.det_b_values[n - 1]
+        return _one_based(self.det_b_values, n)
 
     def g(self, n: int) -> int:
-        return self.g_values[n - 1]
+        return _one_based(self.g_values, n)
 
 
 def recurrence_table(upto: int) -> RecurrenceTable:
@@ -199,7 +206,7 @@ class Permutation:
         return len(self.mapping)
 
     def __call__(self, i: int) -> int:
-        return self.mapping[i - 1]
+        return _one_based(self.mapping, i)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.mapping == other.mapping
@@ -269,18 +276,12 @@ class Permutation:
 # prime-block construction
 
 
-def block_matrix(k: int) -> IntMatrix:
-    """(k+1) x (k+1) binary matrix with zeros exactly where i = j+1 mod k+1."""
-    if k < 1:
-        raise UnsupportedDimension("block size parameter must be >= 1")
-    return _cell_matrix(k + 1, _block_cells(k + 1, 0, 0))
-
-
 def prime_block_game(num_primes: int) -> Game:
     """Imitation game over blocks sized by the first ``num_primes`` primes.
 
-    B holds ``block_matrix(p)`` for each prime p down the diagonal shifted one
-    column right, and a 1 in the bottom-left border cell.
+    B holds, for each prime p, a (p+1) x (p+1) block with zeros exactly where
+    i = j+1 mod p+1, down the diagonal shifted one column right, and a 1 in
+    the bottom-left border cell.
     """
     if num_primes < 1:
         raise UnsupportedDimension("need at least one prime block")
@@ -341,14 +342,6 @@ def prime_block_symmetry(num_primes: int) -> tuple[Permutation, Permutation]:
 
 # ---------------------------------------------------------------------------
 # banded recurrence construction
-
-
-def banded_matrix(m: int) -> IntMatrix:
-    """m x m binary matrix with ones on the diagonal, the superdiagonal,
-    and the second subdiagonal."""
-    if m < 1:
-        raise UnsupportedDimension("banded matrix needs m >= 1")
-    return _cell_matrix(m, _band_cells(m, 0))
 
 
 def beta_matrix(n: int) -> IntMatrix:
@@ -461,35 +454,6 @@ def constant_sum_prime_block(num_primes: int) -> tuple[Game, Profile, int]:
     )
 
 
-def pad_game(game: Game) -> Game:
-    """Append one dummy strategy per player without changing the equilibria.
-
-    The row player's dummy row earns 1 only against the dummy column; the
-    column player's dummy column always earns 0.  Requires no all-zero
-    column in A and no all-zero row in B, else the dummies could matter.
-    """
-    n = game.n
-    a = game.A.rows
-    b = game.B.rows
-    for j in range(n):
-        if all(a[i][j] == 0 for i in range(n)):
-            raise HypothesisViolation(f"column {j + 1} of A is all zeros")
-    for i in range(n):
-        if all(v == 0 for v in b[i]):
-            raise HypothesisViolation(f"row {i + 1} of B is all zeros")
-    a_rows = [row + (1,) for row in a]
-    a_rows.append((0,) * n + (1,))
-    b_rows = [row + (0,) for row in b]
-    b_rows.append((1,) * n + (0,))
-    constant = game.constant_sum if game.constant_sum == 1 else None
-    return Game(
-        IntMatrix(a_rows),
-        IntMatrix(b_rows),
-        family_tag=game.family_tag,
-        constant_sum=constant,
-    )
-
-
 def permutation_game(pi: Permutation, tau: Permutation) -> tuple[Game, int]:
     """Game of two permutation matrices and its common minimal complexity.
 
@@ -552,7 +516,6 @@ class AsymptoticReport:
     claim_one_target: float
     claim_two: float               # b_{l+2} - b_{l+1}^2 / b_l at l = upto - 1
     claim_two_target: float
-    gcd_growth_rate: float         # (1/n) log2 max(g_n, 1) at n = upto
     gcd_envelope_violations: tuple[int, ...]
 
 
@@ -594,7 +557,6 @@ def asymptotic_checks(
     violations = tuple(
         n for n in range(1, top + 1) if table.g(n) > gamma**n
     )
-    g_top = max(table.g(top), 1)
     return AsymptoticReport(
         upto=top,
         top_ratio=ratios[top],
@@ -605,6 +567,5 @@ def asymptotic_checks(
         claim_one_target=-((rho - 1) ** 2) / (3 * rho),
         claim_two=float(claim_two),
         claim_two_target=((rho - 1) ** 2) / 3,
-        gcd_growth_rate=math.log2(g_top) / top,
         gcd_envelope_violations=violations,
     )

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 from .errors import DimensionMismatch, NotADistribution
 from .exact import IntMatrix
@@ -47,19 +45,6 @@ class MixedStrategy:
     def support(self) -> tuple[int, ...]:
         """1-based indices played with positive probability."""
         return tuple(i + 1 for i, p in enumerate(self.numerators) if p > 0)
-
-
-def canonicalize(raw: Sequence[int | Fraction]) -> MixedStrategy:
-    """Reduce a distribution to its canonical numerators-over-q form."""
-    probs = [Fraction(v) for v in raw]
-    if any(p < 0 for p in probs):
-        raise NotADistribution("negative probability")
-    if sum(probs) != 1:
-        raise NotADistribution(f"probabilities sum to {sum(probs)}, not 1")
-    q = math.lcm(*(p.denominator for p in probs))
-    nums = [int(p * q) for p in probs]
-    g = math.gcd(*nums)
-    return MixedStrategy(tuple(p // g for p in nums), q // g)
 
 
 def pure(n: int, i: int) -> MixedStrategy:

@@ -45,7 +45,6 @@ class BitSource:
         # random.Random seeds with abs(seed): -s would replay the stream of s
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
-        self.seed = seed
         self.bits_consumed = 0
         self._rng = random.Random(seed)
         self._bits = iter(b"")

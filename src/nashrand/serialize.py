@@ -133,10 +133,6 @@ def load_game(path: str) -> Game:
         return parse_game(fh.read())
 
 
-def dumps_distribution(x: MixedStrategy) -> str:
-    return json.dumps(strategy_to_json(x), indent=2) + "\n"
-
-
 def parse_distribution(text: str) -> MixedStrategy:
     obj = _loads(text)
     if not isinstance(obj, dict):
@@ -149,12 +145,9 @@ def load_distribution(path: str) -> MixedStrategy:
         return parse_distribution(fh.read())
 
 
-def profile_to_jsonable(profile: Profile) -> dict:
-    return {"x": strategy_to_json(profile.x), "y": strategy_to_json(profile.y)}
-
-
 def dumps_profile(profile: Profile) -> str:
-    return json.dumps(profile_to_jsonable(profile), indent=2) + "\n"
+    obj = {"x": strategy_to_json(profile.x), "y": strategy_to_json(profile.y)}
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def parse_profile(text: str) -> Profile:

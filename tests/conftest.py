@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,16 +7,16 @@ from typing import Sequence
 
 import pytest
 
+from nashrand.errors import HypothesisViolation, NotADistribution
 from nashrand.exact import IntMatrix, det, eliminate
 from nashrand.families import (
     Permutation,
     beta_game,
     constant_sum_beta,
-    pad_game,
     permutation_game,
     prime_block_game,
 )
-from nashrand.games import Game, Profile, canonicalize, complexity
+from nashrand.games import Game, MixedStrategy, Profile, complexity
 from nashrand.solving import SolveReport
 
 Rows = tuple[tuple[int, ...], ...]
@@ -37,6 +38,48 @@ EXAMPLE1_B_ROWS = (
     (0, 0, 0, 0, 0, 1, 0, 1),
     (1, 0, 0, 0, 0, 0, 0, 0),
 )
+
+
+def canonicalize(raw: Sequence[int | Fraction]) -> MixedStrategy:
+    """Reduce a distribution to its canonical numerators-over-q form."""
+    probs = [Fraction(v) for v in raw]
+    if any(p < 0 for p in probs):
+        raise NotADistribution("negative probability")
+    if sum(probs) != 1:
+        raise NotADistribution(f"probabilities sum to {sum(probs)}, not 1")
+    q = math.lcm(*(p.denominator for p in probs))
+    nums = [int(p * q) for p in probs]
+    g = math.gcd(*nums)
+    return MixedStrategy(tuple(p // g for p in nums), q // g)
+
+
+def pad_game(game: Game) -> Game:
+    """Append one dummy strategy per player without changing the equilibria.
+
+    The row player's dummy row earns 1 only against the dummy column; the
+    column player's dummy column always earns 0.  Requires no all-zero
+    column in A and no all-zero row in B, else the dummies could matter.
+    """
+    n = game.n
+    a = game.A.rows
+    b = game.B.rows
+    for j in range(n):
+        if all(a[i][j] == 0 for i in range(n)):
+            raise HypothesisViolation(f"column {j + 1} of A is all zeros")
+    for i in range(n):
+        if all(v == 0 for v in b[i]):
+            raise HypothesisViolation(f"row {i + 1} of B is all zeros")
+    a_rows = [row + (1,) for row in a]
+    a_rows.append((0,) * n + (1,))
+    b_rows = [row + (0,) for row in b]
+    b_rows.append((1,) * n + (0,))
+    constant = game.constant_sum if game.constant_sum == 1 else None
+    return Game(
+        IntMatrix(a_rows),
+        IntMatrix(b_rows),
+        family_tag=game.family_tag,
+        constant_sum=constant,
+    )
 
 
 def coordination_game() -> Game:
@@ -101,6 +144,23 @@ def random_int_matrix(rng: random.Random, n: int, lo: int, hi: int) -> IntMatrix
 
 
 # oracles: independent of the elimination shortcuts the library takes ------
+
+
+def banded_reference(m: int) -> Rows:
+    """m x m 0/1 rows with ones on the diagonal, the superdiagonal and the
+    second subdiagonal, entry by entry."""
+    return tuple(
+        tuple(1 if j - i in (0, 1) or i - j == 2 else 0 for j in range(m))
+        for i in range(m)
+    )
+
+
+def block_reference(k: int) -> Rows:
+    """(k+1) x (k+1) 0/1 rows with zeros exactly where i = j+1 mod k+1."""
+    m = k + 1
+    return tuple(
+        tuple(0 if (i - j - 1) % m == 0 else 1 for j in range(m)) for i in range(m)
+    )
 
 
 def replace_column(m: IntMatrix, i: int, column: Sequence[int]) -> IntMatrix:

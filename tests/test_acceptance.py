@@ -14,6 +14,7 @@ from fractions import Fraction
 from conftest import (
     X1_NUMERATORS,
     Y2_NUMERATORS,
+    canonicalize,
     cofactor_sum_definition,
     random_binary_matrix,
 )
@@ -286,8 +287,6 @@ def test_criterion_10_capability_gate(corpus):
 
 def test_criterion_11_sampler_accounting():
     start = time.perf_counter()
-    from nashrand.games import canonicalize
-
     x1 = beta_ne(8)[0].x
     distributions = [
         uniform(2),

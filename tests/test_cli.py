@@ -6,7 +6,7 @@ import time
 from conftest import DATA, GOLDEN, X1_NUMERATORS, Y2_NUMERATORS
 from nashrand.cli import main
 from nashrand.families import beta_ne
-from nashrand.serialize import dumps_distribution, dumps_game, dumps_profile, load_game
+from nashrand.serialize import dumps_game, dumps_profile, load_game, strategy_to_json
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -234,7 +234,7 @@ def test_sample_command(tmp_path, capsys):
     dist_path = tmp_path / "u8.json"
     from nashrand.games import uniform
 
-    dist_path.write_text(dumps_distribution(uniform(8)))
+    dist_path.write_text(json.dumps(strategy_to_json(uniform(8))))
     rc, out = run_cli(
         capsys, "sample", str(dist_path), "--count", "8000", "--seed", "11"
     )
@@ -252,7 +252,7 @@ def test_sample_point_mass_consumes_no_bits(tmp_path, capsys):
     from nashrand.games import MixedStrategy
 
     dist_path = tmp_path / "point.json"
-    dist_path.write_text(dumps_distribution(MixedStrategy((1, 0), 1)))
+    dist_path.write_text(json.dumps(strategy_to_json(MixedStrategy((1, 0), 1))))
     rc, out = run_cli(capsys, "sample", str(dist_path), "--count", "50", "--seed", "1")
     payload = json.loads(out)
     assert payload["bits_consumed"] == 0
@@ -262,7 +262,7 @@ def test_sample_point_mass_consumes_no_bits(tmp_path, capsys):
 def test_analyze_command(tmp_path, capsys):
     profile, _ = beta_ne(8)
     dist_path = tmp_path / "x1.json"
-    dist_path.write_text(dumps_distribution(profile.x))
+    dist_path.write_text(json.dumps(strategy_to_json(profile.x)))
     rc, out = run_cli(capsys, "analyze", str(dist_path), "--depth", "64")
     payload = json.loads(out)
     assert payload["depth"] == 64
@@ -273,7 +273,7 @@ def test_analyze_command(tmp_path, capsys):
 def test_analyze_refuses_depth_beyond_cap(tmp_path, capsys):
     profile, _ = beta_ne(8)
     dist_path = tmp_path / "x1.json"
-    dist_path.write_text(dumps_distribution(profile.x))
+    dist_path.write_text(json.dumps(strategy_to_json(profile.x)))
     start = time.perf_counter()
     rc = main(["analyze", str(dist_path), "--depth", "100000"])
     assert time.perf_counter() - start < 1.0

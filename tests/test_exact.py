@@ -6,13 +6,14 @@ from operator import mul
 import pytest
 
 from conftest import (
+    block_reference,
     cofactor_sum_definition,
     random_binary_matrix,
     random_int_matrix,
     replace_column,
 )
 from nashrand.exact import IntMatrix, cofactor_sum, det, eliminate
-from nashrand.families import beta_matrix, block_matrix, prime_block_game
+from nashrand.families import beta_matrix, prime_block_game
 
 
 def det_cofactor_expansion(m: IntMatrix) -> int:
@@ -48,7 +49,7 @@ def test_det_empty_matrix_is_one():
 
 
 def test_det_block_matrix_six():
-    assert det(block_matrix(5)) == 5
+    assert det(IntMatrix(block_reference(5))) == 5
 
 
 def test_det_bordered_banded_eight():
@@ -141,7 +142,7 @@ def test_replace_column_ones_keeps_det_one():
 
 
 def test_replace_column_in_block_matrix():
-    got = replace_column(block_matrix(2), 1, (1, 1, 1))
+    got = replace_column(IntMatrix(block_reference(2)), 1, (1, 1, 1))
     assert det(got) == 1
 
 

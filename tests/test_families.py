@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import X1_NUMERATORS, Y2_NUMERATORS, EXAMPLE1_B_ROWS, mat_vec
+from conftest import (
+    EXAMPLE1_B_ROWS,
+    X1_NUMERATORS,
+    Y2_NUMERATORS,
+    banded_reference,
+    block_reference,
+    mat_vec,
+    pad_game,
+)
 from nashrand.errors import (
     HasPureNE,
     HypothesisViolation,
@@ -15,19 +23,19 @@ from nashrand.exact import IntMatrix, cofactor_sum, det
 from nashrand.families import (
     Permutation,
     RecurrenceTable,
+    _band_cells,
+    _block_cells,
+    _cell_matrix,
     _check_table,
     asymptotic_checks,
-    banded_matrix,
     beta_game,
     beta_matrix,
     beta_ne,
-    block_matrix,
     constant_sum_beta,
     constant_sum_prime_block,
     constant_sum_transform,
     first_primes,
     is_symmetric_under,
-    pad_game,
     permutation_game,
     prime_block_game,
     prime_block_ne,
@@ -94,13 +102,6 @@ CONSTANT_SUM_8_A = (
 # entrywise definitions of the family matrices, references for the builders
 
 
-def banded_reference(m):
-    return tuple(
-        tuple(1 if j - i in (0, 1) or i - j == 2 else 0 for j in range(m))
-        for i in range(m)
-    )
-
-
 def beta_reference(n):
     # zero first column but for a 1 in the last row; the band in the upper right
     inner = banded_reference(n - 1)
@@ -110,13 +111,6 @@ def beta_reference(n):
             for j in range(n)
         )
         for i in range(n)
-    )
-
-
-def block_reference(k):
-    m = k + 1
-    return tuple(
-        tuple(0 if (i - j - 1) % m == 0 else 1 for j in range(m)) for i in range(m)
     )
 
 
@@ -159,23 +153,23 @@ def test_first_primes_refuses_negative_count():
 
 
 def test_block_matrix_displays():
-    assert block_matrix(5).rows == BLOCK5
-    assert block_matrix(2).rows == ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+    assert block_reference(5) == BLOCK5
+    assert block_reference(2) == ((1, 1, 0), (0, 1, 1), (1, 0, 1))
     for k in range(1, 41):
-        assert block_matrix(k).rows == block_reference(k)
+        assert _cell_matrix(k + 1, _block_cells(k + 1, 0, 0)).rows == block_reference(k)
 
 
 def test_block_matrix_determinants():
     for k in (2, 3, 5, 7):
-        assert det(block_matrix(k)) == k
+        assert det(IntMatrix(block_reference(k))) == k
 
 
 def test_banded_and_bordered_displays():
-    assert banded_matrix(5).rows == BANDED5
+    assert banded_reference(5) == BANDED5
     assert beta_matrix(11).rows == BETA11
     assert beta_matrix(8).rows == EXAMPLE1_B_ROWS
     for m in range(1, 61):
-        assert banded_matrix(m).rows == banded_reference(m)
+        assert _cell_matrix(m, _band_cells(m, 0)).rows == banded_reference(m)
     for n in range(2, 61):
         assert beta_matrix(n).rows == beta_reference(n)
 
@@ -247,6 +241,18 @@ def test_recurrence_table_rejects_tiny():
         recurrence_table(3)
 
 
+def test_one_based_accessors_refuse_indices_below_one():
+    # a plain tuple lookup would wrap index 0 around to the last entry
+    t = recurrence_table(10)
+    p = Permutation.identity(3)
+    for accessor in (t.a, t.b, t.det_b, t.g, p):
+        for index in (0, -1):
+            with pytest.raises(IndexError):
+                accessor(index)
+    assert (t.a(1), t.b(1), t.det_b(1), t.g(1), p(1)) == (1, 0, 1, 1, 1)
+    assert (t.a(10), t.b(11), t.det_b(10), p(3)) == (-3, -11, 28, 3)
+
+
 def test_recurrence_identities_long_range():
     t = recurrence_table(200)
     for n in range(1, 201):
@@ -272,14 +278,14 @@ def test_recurrence_check_rejects_a_corrupted_det_b():
 def test_banded_determinants_match_table():
     t = recurrence_table(40)
     for m in range(1, 41):
-        assert det(banded_matrix(m)) == t.det_b(m)
+        assert det(IntMatrix(banded_reference(m))) == t.det_b(m)
 
 
 def test_determinants_stay_cheap_at_scale():
     # fraction-free elimination keeps these banded determinants subsecond
     # even at n = 200 (the entries are only ~110 bits)
     t = recurrence_table(200)
-    assert det(banded_matrix(200)) == t.det_b(200)
+    assert det(IntMatrix(banded_reference(200))) == t.det_b(200)
     d = det(beta_matrix(150))
     assert abs(d) == 2 * abs(t.b(150)) + abs(t.a(150))
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     X1_NUMERATORS,
+    canonicalize,
     coordination_game,
     random_binary_matrix,
     random_int_matrix,
@@ -17,7 +18,6 @@ from nashrand.games import (
     Game,
     MixedStrategy,
     Profile,
-    canonicalize,
     capability_admissible,
     complexity,
     entropy,

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import canonicalize
 from nashrand.errors import SamplerStall
 from nashrand.families import beta_ne, prime_block_ne, recurrence_table
 from nashrand.games import (
     MixedStrategy,
-    canonicalize,
     entropy,
     storage_bits,
     uniform,

@@ -10,6 +10,7 @@ from conftest import (
     coordination_game,
     enumerate_pairs,
     matching_pennies,
+    pad_game,
     random_binary_matrix,
     random_int_matrix,
 )
@@ -20,7 +21,6 @@ from nashrand.families import (
     beta_game,
     constant_sum_beta,
     constant_sum_prime_block,
-    pad_game,
 )
 from nashrand.games import (
     Game,

@@ -5,6 +5,7 @@ from pathlib import Path
 import nashrand
 
 SOURCES = sorted(Path(nashrand.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_library_has_no_assert_statements():
@@ -37,3 +38,51 @@ def _absolute_imports(node: ast.AST) -> list[str]:
     if isinstance(node, ast.ImportFrom) and node.level == 0:
         return [node.module]
     return []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A public function, class or method that only tests use belongs in
+    # tests/conftest.py.  A caller is any AST name, attribute or import in a
+    # library module, demo or benchmark file; a re-export in __init__ is not.
+    modules = [path for path in SOURCES if path.name != "__init__.py"]
+    demos = sorted(ROOT.glob("demos/*.py"))
+    bench = sorted(ROOT.glob("perfbench/*.py"))
+    assert demos and bench
+    trees = {
+        path: ast.parse(path.read_text(), str(path)) for path in modules + demos + bench
+    }
+    referenced = set().union(*map(_references, trees.values()))
+    found = [
+        f"{path.stem}.{name}"
+        for path in modules
+        for name in _public_definitions(trees[path])
+        if name.rpartition(".")[2] not in referenced
+    ]
+    assert found == []
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    defined = (ast.FunctionDef, ast.ClassDef)
+    names = []
+    for node in tree.body:
+        if isinstance(node, defined) and not node.name.startswith("_"):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    f"{node.name}.{sub.name}"
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                ]
+    return names
+
+
+def _references(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
