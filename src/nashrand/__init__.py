@@ -20,7 +20,6 @@ from .errors import (
     SamplerStall,
     SingularMatrix,
     SymmetryViolation,
-    UnknownFamily,
     UnsupportedDimension,
 )
 from .exact import IntMatrix, cofactor_sum, det

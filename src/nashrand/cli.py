@@ -2,8 +2,8 @@
 
 Subcommands: gen, solve, verify, scan, recurrence, sample, analyze, bound.
 Exit codes: 0 success, 2 parse/validation error, 3 hypothesis violation,
-4 resource limit.  NASHRAND_MAX_N overrides the default enumeration limit;
-an explicit --max-n beats both.
+4 resource limit.  The enumeration limit is --max-n, else NASHRAND_MAX_N,
+else 10; no other module reads the environment.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -19,13 +20,11 @@ from .errors import (
     DepthTooLarge,
     DimensionMismatch,
     DimensionTooLarge,
-    HasPureNE,
     HypothesisViolation,
     NotADistribution,
     ParseError,
     SamplerStall,
     SymmetryViolation,
-    UnknownFamily,
     UnsupportedDimension,
 )
 from .exact import eliminate
@@ -45,7 +44,7 @@ from .serialize import (
     load_profile,
     strategy_to_json,
 )
-from .solving import complexity_upper_bound, support_enumeration
+from .solving import DEFAULT_MAX_N, complexity_upper_bound, support_enumeration
 
 
 def _permutation_game(n: int) -> Game:
@@ -73,11 +72,33 @@ _SCAN_FORMS = {
     "constsum-primeblock": lambda n: families.constant_sum_prime_block(n)[1:],
 }
 SCAN_FAMILIES = tuple(_SCAN_FORMS)
+SCAN_COLUMNS = ("n", "c1", "c2", "log2_c1_over_n", "g_n", "abs_det", "abs_k", "wallclock_ms")
 # largest `recurrence --to`: the CSV grows as N^2 / 4 bytes (24 MB at the cap)
 RECURRENCE_CAP = 10_000
 # largest side of a family payoff matrix that gen and scan build; a scan
 # row's elimination is cubic in the side (about 1 s for the largest admitted)
 FAMILY_CAP = 500
+MAX_N_ENV = "NASHRAND_MAX_N"
+
+
+def resolve_max_n(max_n: int | None = None) -> int:
+    """Explicit argument beats the NASHRAND_MAX_N environment variable.
+
+    A limit below 1 from either source is a ValueError.
+    """
+    if max_n is not None:
+        source, limit = "enumeration limit", max_n
+    else:
+        env = os.environ.get(MAX_N_ENV)
+        if env is None:
+            return DEFAULT_MAX_N
+        try:
+            source, limit = MAX_N_ENV, int(env)
+        except ValueError:
+            raise ValueError(f"{MAX_N_ENV} must be an integer, got {env!r}")
+    if limit < 1:
+        raise ValueError(f"{source} must be >= 1, got {limit}")
+    return limit
 
 
 def _write(text: str, out: str | None) -> None:
@@ -109,8 +130,6 @@ def generate_family(family: str, n: int | None) -> Game:
             raise UnsupportedDimension(f"{family} is fixed at n = 8")
         game = _GENERATORS[_EXAMPLES[family]](8)
         return Game(game.A, game.B, family_tag=family, constant_sum=game.constant_sum)
-    if family not in _GENERATORS:
-        raise UnknownFamily(f"unknown family {family!r}; choose from {GEN_FAMILIES}")
     if n is None:
         raise UnsupportedDimension(f"family {family!r} requires --n")
     _check_family_size(family, n)
@@ -124,7 +143,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _solve_jsonable(game: Game, max_n: int | None) -> dict:
-    report = support_enumeration(game, max_n)
+    report = support_enumeration(game, resolve_max_n(max_n))
     return {
         "n": game.n,
         "equilibria": [
@@ -203,16 +222,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _scan_row(family: str, n: int) -> dict:
-    if family not in _SCAN_FORMS:
-        raise UnknownFamily(
-            f"family {family!r} has no closed-form scan; choose from {SCAN_FAMILIES}"
-        )
+    """One scan row by column; the float columns come formatted."""
     start = time.perf_counter()
     profile, c1 = _SCAN_FORMS[family](n)
     if family.endswith("beta"):
         table = families.recurrence_table(n)
         g = table.g(n)
-        absdet = 2 * abs(table.b(n)) + abs(table.a(n))
+        absdet = table.det_b(n - 1)
         abs_k = c1 * g
     else:
         g = None
@@ -221,38 +237,19 @@ def _scan_row(family: str, n: int) -> dict:
         absdet = abs(d)
         abs_k = abs(sum(y))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return {
-        "n": profile.x.n,
-        "c1": c1,
-        "c2": complexity(profile.y),
-        "log2_c1_over_n": math.log2(c1) / profile.x.n if c1 >= 1 else 0.0,
-        "g_n": g,
-        "abs_det": absdet,
-        "abs_k": abs_k,
-        "wallclock_ms": elapsed_ms,
-    }
+    side = profile.x.n
+    fields = (side, c1, complexity(profile.y), f"{math.log2(c1) / side:.6g}",
+              g, absdet, abs_k, f"{elapsed_ms:.6g}")
+    return dict(zip(SCAN_COLUMNS, fields))
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.stop >= args.start:
         _check_family_size(args.family, args.stop)
-    rows = [_scan_row(args.family, n) for n in range(args.start, args.stop + 1)]
-    lines = ["n,c1,c2,log2_c1_over_n,g_n,abs_det,abs_k,wallclock_ms"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row["n"]),
-                    str(row["c1"]),
-                    str(row["c2"]),
-                    f"{row['log2_c1_over_n']:.6g}",
-                    "" if row["g_n"] is None else str(row["g_n"]),
-                    str(row["abs_det"]),
-                    str(row["abs_k"]),
-                    f"{row['wallclock_ms']:.6g}",
-                ]
-            )
-        )
+    lines = [",".join(SCAN_COLUMNS)]
+    for n in range(args.start, args.stop + 1):
+        row = _scan_row(args.family, n).values()
+        lines.append(",".join("" if v is None else str(v) for v in row))
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -324,8 +321,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "measured_c1": None,
         "measured_c2": None,
     }
+    max_n = resolve_max_n(args.max_n)
     try:
-        report = support_enumeration(game, args.max_n)
+        report = support_enumeration(game, max_n)
         if report.c1_min is not None:
             payload["measured_c1"] = str(report.c1_min)
             payload["measured_c2"] = str(report.c2_min)
@@ -405,11 +403,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NotADistribution, UnknownFamily, UnsupportedDimension,
+    except (ParseError, NotADistribution, UnsupportedDimension,
             DimensionMismatch, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (HypothesisViolation, SymmetryViolation, HasPureNE) as exc:
+    except (HypothesisViolation, SymmetryViolation) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
     except (DimensionTooLarge, DepthTooLarge, SamplerStall) as exc:

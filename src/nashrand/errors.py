@@ -39,10 +39,6 @@ class UnsupportedDimension(NashrandError):
     """Family generator called outside its valid dimension range."""
 
 
-class UnknownFamily(NashrandError):
-    """Family name not recognized by the generators."""
-
-
 class SymmetryViolation(NashrandError):
     """Matrix fails the claimed row/column permutation symmetry."""
 

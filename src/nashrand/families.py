@@ -235,6 +235,8 @@ class Permutation:
         mapping = list(range(1, n + 1))
         for cycle in cycles:
             for pos, i in enumerate(cycle):
+                if not 1 <= i <= n:
+                    raise ValueError(f"cycle entry {i} is outside 1..{n}")
                 mapping[i - 1] = cycle[(pos + 1) % len(cycle)]
         return cls(mapping)
 

@@ -90,7 +90,6 @@ which makes reports deterministic.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -107,29 +106,8 @@ from .games import (
 )
 
 DEFAULT_MAX_N = 10
-MAX_N_ENV = "NASHRAND_MAX_N"
 
 Rows = tuple[tuple[int, ...], ...]
-
-
-def resolve_max_n(max_n: int | None = None) -> int:
-    """Explicit argument beats the NASHRAND_MAX_N environment variable.
-
-    A limit below 1 from either source is a ValueError.
-    """
-    if max_n is not None:
-        source, limit = "enumeration limit", max_n
-    else:
-        env = os.environ.get(MAX_N_ENV)
-        if env is None:
-            return DEFAULT_MAX_N
-        try:
-            source, limit = MAX_N_ENV, int(env)
-        except ValueError:
-            raise ValueError(f"{MAX_N_ENV} must be an integer, got {env!r}")
-    if limit < 1:
-        raise ValueError(f"{source} must be >= 1, got {limit}")
-    return limit
 
 
 @dataclass(frozen=True)
@@ -165,10 +143,13 @@ def pure_nash(game: Game) -> list[Profile]:
     return out
 
 
-def support_enumeration(game: Game, max_n: int | None = None) -> SolveReport:
-    limit = resolve_max_n(max_n)
-    if game.n > limit:
-        raise DimensionTooLarge(f"n={game.n} exceeds enumeration limit {limit}")
+def support_enumeration(game: Game, max_n: int = DEFAULT_MAX_N) -> SolveReport:
+    """Every equilibrium over equal-size supports, as a ``SolveReport``.
+
+    Raises DimensionTooLarge before any work when ``game.n`` exceeds max_n.
+    """
+    if game.n > max_n:
+        raise DimensionTooLarge(f"n={game.n} exceeds enumeration limit {max_n}")
     return _enumerate(game)
 
 
@@ -333,9 +314,9 @@ def _strategy(
     return MixedStrategy(tuple(nums), d // g)
 
 
-def min_complexities(game: Game, max_n: int | None = None) -> tuple[int, int]:
-    """Least complexities any equilibrium demands of each player."""
-    report = support_enumeration(game, max_n)
+def min_complexities(game: Game) -> tuple[int, int]:
+    """Least complexities any equilibrium demands of each player (default limit)."""
+    report = support_enumeration(game)
     if report.c1_min is None or report.c2_min is None:
         # only equal-size supports are searched, so a degenerate game can
         # come back empty; that report always carries the degeneracy flag
@@ -353,19 +334,18 @@ def fully_mixed_ne(game: Game) -> Profile | None:
     return _full_support(game.n, game.A.rows, tuple(zip(*game.B.rows)))
 
 
-def bounded_ne_exists(
-    game: Game, c1: int, c2: int, max_n: int | None = None
-) -> bool:
+def bounded_ne_exists(game: Game, c1: int, c2: int) -> bool:
     """Whether the capability-restricted game still has an equilibrium.
 
-    True when an equilibrium found by ``support_enumeration`` lies within
-    the caps c1, c2.  Only equal-size supports are searched, so on a game
-    whose report is flagged degenerate a False can miss an equilibrium with
-    unequal supports; an incomplete answer is always flagged that way.
+    True when an equilibrium found by ``support_enumeration``, at its
+    default limit, lies within the caps c1, c2.  Only equal-size supports
+    are searched, so on a game whose report is flagged degenerate a False
+    can miss an equilibrium with unequal supports; an incomplete answer is
+    always flagged that way.
     """
     if c1 < 1 or c2 < 1:
         raise ValueError("capabilities must be >= 1")
-    report = support_enumeration(game, max_n)
+    report = support_enumeration(game)
     return any(
         complexity(p.x) <= c1 and complexity(p.y) <= c2
         for p in report.equilibria

@@ -94,6 +94,15 @@ def asymmetric_2x2() -> Game:
     return Game(IntMatrix([[3, 0], [0, 2]]), IntMatrix([[0, 1], [2, 0]]))
 
 
+@pytest.fixture(autouse=True)
+def _no_max_n_from_the_shell(monkeypatch):
+    """Tier-1 verdicts must not depend on the developer's NASHRAND_MAX_N.
+
+    A test that needs the variable sets it itself with ``monkeypatch.setenv``.
+    """
+    monkeypatch.delenv("NASHRAND_MAX_N", raising=False)
+
+
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, Game]:
     """Solvable games (n <= 10) exercised across the acceptance suite.

@@ -175,20 +175,24 @@ def test_scan_constsum_families(capsys):
 
 def test_scan_closed_form_matches_enumeration(capsys):
     from nashrand.families import beta_game, prime_block_game
-    from nashrand.solving import min_complexities
+    from nashrand.solving import support_enumeration
+
+    def minima(game):
+        report = support_enumeration(game, max_n=14)
+        return report.c1_min, report.c2_min
 
     rc, out = run_cli(capsys, "scan", "beta", "--from", "8", "--to", "14")
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [int(row[0]) for row in rows] == list(range(8, 15))
     for row in rows:
         game = beta_game(int(row[0]))
-        assert (int(row[1]), int(row[2])) == min_complexities(game, max_n=14)
+        assert (int(row[1]), int(row[2])) == minima(game)
     rc, out = run_cli(capsys, "scan", "primeblock", "--from", "1", "--to", "3")
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [int(row[0]) for row in rows] == [4, 8, 14]  # N for k = 1..3
     for k, row in enumerate(rows, start=1):
         game = prime_block_game(k)
-        assert (int(row[1]), int(row[2])) == min_complexities(game, max_n=14)
+        assert (int(row[1]), int(row[2])) == minima(game)
 
 
 def test_solve_warns_on_degeneracy(tmp_path, capsys):

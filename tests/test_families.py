@@ -529,6 +529,12 @@ def test_permutation_cycles_and_inverse():
     assert p(1) == 4 and p(4) == 3 and p(3) == 1
     assert sorted(len(c) for c in p.cycles()) == [2, 3]
     assert p.compose(p.inverse()) == Permutation.identity(5)
+    # an entry outside 1..n is refused, not wrapped or left to IndexError
+    for bad in (0, -1, 4):
+        with pytest.raises(ValueError):
+            Permutation.from_cycles(3, [(1, bad)])
+    with pytest.raises(ValueError):
+        Permutation.from_cycles(3, [(3, 0)])
 
 
 def test_permutation_matrix_convention():

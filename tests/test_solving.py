@@ -15,6 +15,7 @@ from conftest import (
     random_int_matrix,
 )
 from nashrand import solving
+from nashrand.cli import resolve_max_n
 from nashrand.errors import DimensionTooLarge
 from nashrand.exact import IntMatrix, cofactor_sum, det
 from nashrand.families import (
@@ -39,7 +40,6 @@ from nashrand.solving import (
     fully_mixed_ne,
     min_complexities,
     pure_nash,
-    resolve_max_n,
     support_enumeration,
 )
 
@@ -127,6 +127,14 @@ def test_max_n_resolution_precedence(monkeypatch):
         with pytest.raises(ValueError):
             resolve_max_n(None)
     assert resolve_max_n(5) == 5
+
+
+def test_library_calls_ignore_the_max_n_environment(corpus, monkeypatch):
+    # only the command line reads NASHRAND_MAX_N; library calls keep their limit
+    monkeypatch.setenv("NASHRAND_MAX_N", "5")
+    example1 = corpus["example1"]
+    assert min_complexities(example1) == (34, 8)
+    assert bounded_ne_exists(example1, 34, 8) is True
 
 
 def test_every_reported_equilibrium_is_nash(corpus):

@@ -32,6 +32,30 @@ def test_library_imports_only_the_standard_library():
     assert found == []
 
 
+def test_only_the_cli_reads_the_environment():
+    # configuration enters through the command line; library calls take
+    # their limits as arguments, so their results depend on the payoffs only
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _reads_environment(node)
+    ]
+    assert found == []
+
+
+def _reads_environment(node: ast.AST) -> bool:
+    names = {"environ", "environb", "getenv", "getenvb"}
+    if isinstance(node, ast.Attribute):
+        return node.attr in names
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name in names for alias in node.names)
+    return False
+
+
 def _absolute_imports(node: ast.AST) -> list[str]:
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
