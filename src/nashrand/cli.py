@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import families
 from .errors import (
@@ -75,6 +76,9 @@ SCAN_FAMILIES = tuple(_SCAN_FORMS)
 SCAN_COLUMNS = ("n", "c1", "c2", "log2_c1_over_n", "g_n", "abs_det", "abs_k", "wallclock_ms")
 # largest `recurrence --to`: the CSV grows as N^2 / 4 bytes (24 MB at the cap)
 RECURRENCE_CAP = 10_000
+# largest `sample --count`: draws of uniform(1000) take about 1.5 s per
+# million (shared 2-core host), so about 150 s at the cap
+SAMPLE_CAP = 10**8
 # largest side of a family payoff matrix that gen and scan build; a scan
 # row's elimination is cubic in the side (about 1 s for the largest admitted)
 FAMILY_CAP = 500
@@ -279,6 +283,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     dist = load_distribution(args.dist)
+    if args.count > SAMPLE_CAP:
+        raise DimensionTooLarge(
+            f"--count {args.count} exceeds the sample cap {SAMPLE_CAP} (estimated "
+            f"{math.ceil(args.count * Fraction(entropy(dist) + 2))} bits, count * (H + 2))")
     sampler = DdgSampler(dist)
     bits = BitSource(args.seed)
     counts = [0] * dist.n

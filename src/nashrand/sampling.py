@@ -2,26 +2,41 @@
 
 The sampler is a Knuth-Yao walk of the discrete distribution generating
 (DDG) tree of p_1/q .. p_n/q (Knuth and Yao 1976; Saad et al., "The Fast
-Loaded Dice Roller", AISTATS 2020).  Level d of the tree has one leaf for
-each outcome whose d-th binary digit of p_i/q is 1; level 0 holds an
-outcome with p_i == q.  Leaves sit left of the internal nodes, so after
-each bit the walk is at node d = 2d + bit of the level: a leaf if d is
-below the level's leaf count, else internal node d - count.  Outcome i is
-reached with probability sum_d bit_d(p_i/q) 2^-d = p_i/q exactly, and no
-exact sampler spends fewer expected bits (under H + 2).
+Loaded Dice Roller", AISTATS 2020).  Level l of the tree has c_l leaves,
+one for each outcome whose l-th binary digit of p_i/q is 1; level 0 holds
+an outcome with p_i == q.  Leaves sit left of the internal nodes, so after
+each bit the walk is at node x = 2x + bit of the level: a leaf if x is
+below c_l, else internal node x - c_l.  Outcome i is reached with
+probability sum_l bit_l(p_i/q) 2^-l = p_i/q exactly, and no exact sampler
+spends fewer expected bits (under H + 2).
 
-Levels are built lazily from the integer remainders r_i = p_i 2^d mod q
-(r <- 2r; emit i and subtract q when r >= q), cached on the sampler and
-shared by all samples, so a bit costs one list lookup and no bigint work.
-The cache holds only the levels some walk has reached, about log2(n draws)
-of them, as lists of references into one list of outcome ints: 22 to 25
-levels and 0.12 MB for n = 40 to 1000 after 20k draws (64-bit CPython).
+A draw resolves that walk with one peek.  Let u_l be the next l bits as
+an integer and S_l = sum_{l' <= l} c_l' 2^(l - l'), with S_-1 = 0.  The
+walk, unresolved, is at x_l = u_l - 2 S_(l-1) on level l: x_0 = 0, and
+x_(l+1) = 2 (x_l - c_l) + bit = u_(l+1) - 2 S_l.  So it stops at the first
+l with u_l < S_l, on leaf u_l - 2 S_(l-1).  With D the deepest level built,
+v the next D bits and the marks T_l = S_l 2^(D - l), which do not
+decrease, u_l < S_l holds exactly when v < T_l, because u_l 2^(D - l) <= v
+< (u_l + 1) 2^(D - l).  Hence l = bisect_right(T, v); the draw skips l
+bits and returns leaf (v - T_(l-1)) >> (D - l) of level l.  If v >= T_D it
+builds one more level and peeks again; past DEPTH_CAP it skips DEPTH_CAP
+bits and raises SamplerStall.  Outcomes and bits consumed are those of the
+bit-by-bit walk, at one peek, one bisect and one skip per draw.
+
+Levels are built lazily from the integer remainders r_i = p_i 2^l mod q
+(r <- 2r; emit i and subtract q when r >= q) and shared by all draws.  The
+sampler holds the remainders, the levels some walk has reached (about
+log2(n draws) of them, as lists of references into one list of outcome
+ints: 22 to 25 levels and 0.12 MB for n = 40 to 1000 after 20k draws,
+64-bit CPython) and the D + 1 marks, each at most 2^D since
+sum_l c_l 2^-l <= 1.
 """
 
 from __future__ import annotations
 
 import random
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,8 +44,8 @@ from .errors import DepthTooLarge, SamplerStall
 from .games import MixedStrategy
 
 DEPTH_CAP = 4096
-WORDS = 256                                  # 32-bit outputs per refill
-TOP_BIT = bytes(b >> 7 for b in range(256))  # byte -> its most significant bit
+WORDS = 256                                       # 32-bit outputs per refill
+TOP_DIGIT = bytes(48 + (b >> 7) for b in range(256))  # byte -> ASCII digit of its top bit
 
 
 class BitSource:
@@ -38,7 +53,8 @@ class BitSource:
 
     The bits are those of ``random.Random(seed).getrandbits(1)`` calls: the
     top bit of each 32-bit output, read WORDS outputs at a time from the
-    little-endian bytes of ``getrandbits(32 * WORDS)``.
+    little-endian bytes of ``getrandbits(32 * WORDS)``.  Unread bits wait in
+    one int, the next bit most significant.
     """
 
     def __init__(self, seed: int):
@@ -47,15 +63,24 @@ class BitSource:
             raise ValueError(f"seed must be >= 0, got {seed}")
         self.bits_consumed = 0
         self._rng = random.Random(seed)
-        self._bits = iter(b"")
+        self._buf = 0   # the _len unread bits
+        self._len = 0
 
-    def next_bit(self) -> int:
-        self.bits_consumed += 1
-        for bit in self._bits:  # cheapest next() that falls through when empty
-            return bit
-        words = self._rng.getrandbits(32 * WORDS).to_bytes(4 * WORDS, "little")
-        self._bits = iter(words[3::4].translate(TOP_BIT))
-        return next(self._bits)
+    def peek(self, k: int) -> int:
+        """The next k bits as an integer, first bit most significant; none consumed."""
+        while self._len < k:
+            words = self._rng.getrandbits(32 * WORDS).to_bytes(4 * WORDS, "little")
+            self._buf = self._buf << WORDS | int(words[3::4].translate(TOP_DIGIT), 2)
+            self._len += WORDS
+        return self._buf >> (self._len - k)
+
+    def skip(self, k: int) -> None:
+        """Consume the next k bits."""
+        if self._len < k:
+            self.peek(k)
+        self._len -= k
+        self._buf &= (1 << self._len) - 1
+        self.bits_consumed += k
 
 
 class DdgSampler:
@@ -66,40 +91,44 @@ class DdgSampler:
         self._outcomes = list(range(1, target.n + 1))  # ints shared by all levels
         q, nums = target.denominator, target.numerators
         self._levels = [[i for i, p in zip(self._outcomes, nums) if p == q]]
-        self._rem = [p % q for p in nums]  # p_i 2^d mod q, d = last level built
+        self._rem = [p % q for p in nums]  # p_i 2^D mod q
+        self._marks = [len(self._levels[0])]  # T_0 .. T_D; replaced, never mutated
         self._lock = threading.Lock()
 
     @property
     def n(self) -> int:
         return self.target.n
 
-    def _level(self, depth: int) -> list[int]:
-        """Level ``depth`` of the tree, building the missing levels above it."""
+    def _deepen(self, depth: int) -> list[int]:
+        """Marks of a tree at least ``depth + 1`` levels deep."""
         with self._lock:  # concurrent walks must not build a level twice
-            q, levels = self.target.denominator, self._levels
-            while len(levels) <= depth:
+            if len(self._marks) == depth + 1:
+                q = self.target.denominator
                 doubled = [r << 1 for r in self._rem]
-                levels.append([i for i, r in zip(self._outcomes, doubled) if r >= q])
+                level = [i for i, r in zip(self._outcomes, doubled) if r >= q]
                 self._rem = [r - q if r >= q else r for r in doubled]
-            return levels[depth]
+                self._levels.append(level)  # before the marks that reach it
+                marks = [t << 1 for t in self._marks]
+                marks.append(marks[-1] + len(level))
+                self._marks = marks
+            return self._marks
 
     def sample(self, bits: BitSource) -> int:
         """Draw one outcome (1-based), consuming bits until resolved."""
-        levels = self._levels
+        levels, marks = self._levels, self._marks
         if levels[0]:
             return levels[0][0]
-        next_bit = bits.next_bit
-        d = 0
-        for depth in range(1, DEPTH_CAP + 1):
-            try:
-                level = levels[depth]
-            except IndexError:
-                level = self._level(depth)
-            d = (d << 1) | next_bit()
-            if d < len(level):
-                return level[d]
-            d -= len(level)
-        raise SamplerStall(f"no resolution within {DEPTH_CAP} bits")
+        while True:
+            depth = len(marks) - 1
+            v = bits.peek(depth)
+            level = bisect_right(marks, v)
+            if level <= depth:
+                bits.skip(level)
+                return levels[level][(v - marks[level - 1]) >> (depth - level)]
+            if depth == DEPTH_CAP:
+                bits.skip(DEPTH_CAP)
+                raise SamplerStall(f"no resolution within {DEPTH_CAP} bits")
+            marks = self._deepen(depth)
 
 
 @dataclass(frozen=True)

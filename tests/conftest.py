@@ -7,7 +7,7 @@ from typing import Sequence
 
 import pytest
 
-from nashrand.errors import HypothesisViolation, NotADistribution
+from nashrand.errors import HypothesisViolation, NotADistribution, SamplerStall
 from nashrand.exact import IntMatrix, det, eliminate
 from nashrand.families import (
     Permutation,
@@ -17,6 +17,7 @@ from nashrand.families import (
     prime_block_game,
 )
 from nashrand.games import Game, MixedStrategy, Profile, complexity
+from nashrand.sampling import DEPTH_CAP
 from nashrand.solving import SolveReport
 
 Rows = tuple[tuple[int, ...], ...]
@@ -286,3 +287,33 @@ def enumerate_pairs(n: int, a: Rows, b: Rows) -> SolveReport:
     c1 = min((complexity(p.x) for p in equilibria), default=None)
     c2 = min((complexity(p.y) for p in equilibria), default=None)
     return SolveReport(tuple(equilibria), c1, c2, degenerate, pairs)
+
+
+def knuth_yao_draws(
+    dist: MixedStrategy, rng: random.Random, count: int
+) -> tuple[list[int], list[int]]:
+    """``count`` draws of the bit-by-bit Knuth-Yao walk of ``dist`` on the
+    bits of ``rng.getrandbits(1)``, and the bits each draw consumed.
+
+    Level k's leaves are the outcomes whose k-th binary digit of p/q,
+    ``(p << k) // q & 1``, is set, in index order (level 0 holds p == q);
+    one bit per level moves the walk to node 2x + bit.  A second source for
+    ``nashrand.sampling.DdgSampler`` and ``BitSource`` alike."""
+    q, nums = dist.denominator, dist.numerators
+    levels: list[list[int]] = []
+    outcomes, used = [], []
+    for _ in range(count):
+        x = 0
+        for k in range(DEPTH_CAP + 1):
+            if k == len(levels):
+                levels.append([i for i, p in enumerate(nums, 1) if (p << k) // q & 1])
+            if k:
+                x = 2 * x + rng.getrandbits(1)
+            if x < len(levels[k]):
+                outcomes.append(levels[k][x])
+                used.append(k)
+                break
+            x -= len(levels[k])
+        else:
+            raise SamplerStall(f"no resolution within {DEPTH_CAP} bits")
+    return outcomes, used

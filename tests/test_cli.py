@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from conftest import DATA, GOLDEN, X1_NUMERATORS, Y2_NUMERATORS
 from nashrand.cli import main
 from nashrand.families import beta_ne
@@ -252,6 +254,24 @@ def test_sample_command(tmp_path, capsys):
     assert payload["bits_consumed"] == 24000
 
 
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("name", ["beta8", "beta40", "primeblock5", "uniform1000"])
+def test_sample_matches_golden_bytes(tmp_path, capsys, name, seed):
+    # Frozen from the bit-by-bit Knuth-Yao walk: counts and bits consumed
+    # must survive any change to how the walk reads its bits.
+    from nashrand.families import prime_block_ne
+    from nashrand.games import uniform
+
+    dist = {"beta8": beta_ne(8)[0].x, "beta40": beta_ne(40)[0].x,
+            "primeblock5": prime_block_ne(5)[0].x, "uniform1000": uniform(1000)}[name]
+    dist_path = tmp_path / f"{name}.json"
+    dist_path.write_text(json.dumps(strategy_to_json(dist)))
+    rc, out = run_cli(capsys, "sample", str(dist_path), "--count", "20000",
+                      "--seed", str(seed))
+    assert rc == 0
+    assert out == (GOLDEN / f"sample_{name}_seed{seed}.json").read_text()
+
+
 def test_sample_point_mass_consumes_no_bits(tmp_path, capsys):
     from nashrand.games import MixedStrategy
 
@@ -345,6 +365,19 @@ def test_negative_sample_count_exits_two(tmp_path, capsys):
     assert "--count must be >= 0, got -1" in _rejects(
         capsys, "sample", str(dist), "--count", "-1"
     )
+
+
+def test_sample_refuses_oversized_count(tmp_path, capsys):
+    dist = tmp_path / "u2.json"
+    dist.write_text('{"numerators": [1, 1], "denominator": 2}')
+    start = time.perf_counter()
+    rc = main(["sample", str(dist), "--count", str(10**15)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4
+    err = capsys.readouterr().err
+    # H = 1 bit, so count * (H + 2) = 3e15 bits
+    assert f"--count {10**15}" in err and "cap 100000000" in err
+    assert "3000000000000000 bits" in err
 
 
 def test_boolean_dimension_exits_two(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import canonicalize
+from conftest import canonicalize, knuth_yao_draws
 from nashrand.errors import SamplerStall
 from nashrand.families import beta_ne, prime_block_ne, recurrence_table
 from nashrand.games import (
@@ -33,18 +33,24 @@ CHI2_CRITICAL_DF7 = 24.322  # upper 1e-3 tail, 7 degrees of freedom
 
 
 class FixedBits(BitSource):
-    """Bit source replaying a given pattern (for convention tests)."""
+    """Bit source replaying a given pattern (for convention tests).
+
+    A peek past the end of the pattern reads zeros; consuming past it
+    counts the bits and then raises IndexError.
+    """
 
     def __init__(self, pattern: str):
         super().__init__(0)
-        self._pattern = [int(c) for c in pattern]
-        self._pos = 0
+        self._pattern = pattern
 
-    def next_bit(self) -> int:
-        self.bits_consumed += 1
-        bit = self._pattern[self._pos]
-        self._pos += 1
-        return bit
+    def peek(self, k: int) -> int:
+        pos = self.bits_consumed
+        return int("0" + self._pattern[pos:pos + k].ljust(k, "0"), 2)
+
+    def skip(self, k: int) -> None:
+        self.bits_consumed += k
+        if self.bits_consumed > len(self._pattern):
+            raise IndexError("consumed past the end of the pattern")
 
 
 def test_uniform_two_uses_single_bit():
@@ -92,14 +98,77 @@ def test_seeded_runs_reproduce():
     assert runs[0] == runs[1]
 
 
+def next_bit(bits: BitSource) -> int:
+    bit = bits.peek(1)
+    bits.skip(1)
+    return bit
+
+
 def test_bit_source_deals_the_getrandbits_stream():
     # Buffering must not change the stream that seeded outcomes rest on.
     for seed in (0, 12345):
         bits, rng = BitSource(seed), random.Random(seed)
-        assert [bits.next_bit() for _ in range(1000)] == [
+        assert [next_bit(bits) for _ in range(1000)] == [
             rng.getrandbits(1) for _ in range(1000)
         ]
         assert bits.bits_consumed == 1000
+    # Multi-bit reads keep it too: seeded peek and skip widths of 0 to 300
+    # bits straddle the 256-bit refill, and a peek consumes nothing.
+    widths = random.Random(2718)
+    for seed in (0, 12345):
+        bits, rng = BitSource(seed), random.Random(seed)
+        stream = "".join(str(rng.getrandbits(1)) for _ in range(40_000))
+        pos = 0
+        while pos < 39_000:
+            k = widths.randint(0, 300)
+            if widths.random() < 0.5:
+                assert bits.peek(k) == int("0" + stream[pos:pos + k], 2)
+            else:
+                bits.skip(k)
+                pos += k
+            assert bits.bits_consumed == pos
+        assert next_bit(bits) == int(stream[pos])
+
+
+def random_distribution(rng: random.Random) -> MixedStrategy:
+    """Up to 30 outcomes, some of them zero, numerators up to 10^30."""
+    n = rng.randint(1, 30)
+    nums = [rng.randint(0, 10 ** rng.randint(1, 30)) if rng.random() < 0.8 else 0
+            for _ in range(n)]
+    if not any(nums):
+        nums[rng.randrange(n)] = 1
+    total = sum(nums)
+    return canonicalize([Fraction(p, total) for p in nums])
+
+
+def test_sampler_matches_bit_by_bit_walk():
+    # The peek-and-bisect draw against the walk it replaces, on the same
+    # seeded stream: a fresh sampler builds its levels while drawing, and a
+    # warmed one meets draws that pass its deepest built level.
+    rng = random.Random(31337)
+    cases = ENUMERATION_CASES + [
+        beta_ne(40)[0].x,
+        beta_ne(200)[0].x,
+        prime_block_ne(10)[0].x,
+        *(uniform(n) for n in (*range(1, 10), 999, 1000)),
+        *(random_distribution(rng) for _ in range(40)),
+    ]
+    warm, draws = 1000, 300
+    passed_deepest = 0
+    for case, dist in enumerate(cases):
+        expected, used = knuth_yao_draws(dist, random.Random(case), draws)
+        fresh, bits = DdgSampler(dist), BitSource(case)
+        assert [fresh.sample(bits) for _ in range(draws)] == expected
+        assert bits.bits_consumed == sum(used)
+        warm_out, warm_used = knuth_yao_draws(dist, random.Random(10_000 + case), warm)
+        warmed, bits = DdgSampler(dist), BitSource(10_000 + case)
+        assert [warmed.sample(bits) for _ in range(warm)] == warm_out
+        assert bits.bits_consumed == sum(warm_used)
+        bits = BitSource(case)
+        assert [warmed.sample(bits) for _ in range(draws)] == expected
+        assert bits.bits_consumed == sum(used)
+        passed_deepest += max(used) > max(warm_used)
+    assert passed_deepest >= 5
 
 
 def test_exhaustive_three_bit_enumeration_matches_uniform():
@@ -172,9 +241,11 @@ def test_sampler_stall_guard():
     # one leaf (on the left) and one internal node (on the right).  The
     # all-ones path always takes the internal node and never resolves.
     class OneBits(BitSource):
-        def next_bit(self) -> int:
-            self.bits_consumed += 1
-            return 1
+        def peek(self, k: int) -> int:
+            return (1 << k) - 1
+
+        def skip(self, k: int) -> None:
+            self.bits_consumed += k
 
     s = DdgSampler(canonicalize([Fraction(1, 3), Fraction(2, 3)]))
     bits = OneBits(0)
