@@ -39,6 +39,7 @@ from .families import (
     is_symmetric_under,
     permutation_game,
     prime_block_game,
+    prime_block_matrix,
     prime_block_ne,
     prime_block_symmetry,
     recurrence_constants,

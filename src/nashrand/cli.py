@@ -65,12 +65,21 @@ _GENERATORS = {
 # the paper's two showcase games: a family game at n = 8, retagged
 _EXAMPLES = {"example1": "beta", "example2": "constsum-beta"}
 GEN_FAMILIES = (*_GENERATORS, *_EXAMPLES)
-# closed-form (profile, C_1) of each family scan covers
+
+
+def _constsum_prime_block_form(n: int) -> tuple:
+    game, profile, c1 = families.constant_sum_prime_block(n)
+    return profile, c1, game.B
+
+
+# closed-form (profile, C_1) of each family scan covers, and the source of
+# the row's other columns: the recurrence table the beta closed form read,
+# or the prime-block payoff matrix B
 _SCAN_FORMS = {
-    "beta": families.beta_ne,
-    "primeblock": families.prime_block_ne,
-    "constsum-beta": lambda n: families.constant_sum_beta(n)[1:],
-    "constsum-primeblock": lambda n: families.constant_sum_prime_block(n)[1:],
+    "beta": families._beta_ne,
+    "primeblock": lambda n: (*families.prime_block_ne(n), families.prime_block_matrix(n)),
+    "constsum-beta": lambda n: families._constant_sum_beta(n)[1:],
+    "constsum-primeblock": _constsum_prime_block_form,
 }
 SCAN_FAMILIES = tuple(_SCAN_FORMS)
 SCAN_COLUMNS = ("n", "c1", "c2", "log2_c1_over_n", "g_n", "abs_det", "abs_k", "wallclock_ms")
@@ -80,7 +89,9 @@ RECURRENCE_CAP = 10_000
 # million (shared 2-core host), so about 150 s at the cap
 SAMPLE_CAP = 10**8
 # largest side of a family payoff matrix that gen and scan build; a scan
-# row's elimination is cubic in the side (about 1 s for the largest admitted)
+# row's elimination is at most cubic in the side (the largest admitted rows,
+# beta at side 500 and primeblock at side 458, take 0.06 s and 0.17 s, and
+# 0.2 s and 0.4 s as constant-sum games, on a shared 2-core host)
 FAMILY_CAP = 500
 MAX_N_ENV = "NASHRAND_MAX_N"
 
@@ -228,16 +239,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _scan_row(family: str, n: int) -> dict:
     """One scan row by column; the float columns come formatted."""
     start = time.perf_counter()
-    profile, c1 = _SCAN_FORMS[family](n)
+    profile, c1, source = _SCAN_FORMS[family](n)
     if family.endswith("beta"):
-        table = families.recurrence_table(n)
-        g = table.g(n)
-        absdet = table.det_b(n - 1)
+        g = source.g(n)
+        absdet = source.det_b(n - 1)
         abs_k = c1 * g
     else:
         g = None
-        b = families.prime_block_game(n).B
-        d, y = eliminate([list(row) for row in b.rows], [1] * b.n)
+        d, y = eliminate([list(row) for row in source.rows], [1] * source.n)
         absdet = abs(d)
         abs_k = abs(sum(y))
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -21,6 +21,21 @@ row, or last row) one rescale ``v * prev // base[i]`` restores it, and the
 division is exact because the result is a minor.  Sparse and banded
 matrices thus skip most of the arithmetic.
 
+Each row also carries an extent, ends[i]: every entry of row i at or past
+column ends[i] is zero.  Extents start at n, so a dense row costs nothing
+to set up; a scan over trailing zeros cuts a row's extent back to one past
+its last nonzero when the row becomes the pivot, or when a pivot that ends
+before it updates it.  Step k then updates row i over columns k+1 .. e
+only, with e = max(ends[i], ends[k]), and sets ends[i] = e; the lazy
+rescale covers row i up to ends[i], and back-substitution stops there.
+The entries skipped lie past both rows' extents, where the full-width
+update would write 0 * p_k - a_ik * 0 = 0 over a stored 0, and a rescale
+would leave 0.  So every stored entry is the same minor as in the
+full-width loop, and det, the solve, the signs and every exact division
+are unchanged bit for bit, while a banded or block-shifted row costs its
+span rather than n.  The right-hand side is held apart in a vector of its
+own, so an all-ones rhs widens no row.
+
 The cofactor sum K(M) = 1^T adj(M) 1 comes from the same kernel by the
 matrix determinant lemma det(M + 1 1^T) = det(M) + 1^T adj(M) 1: when
 det(M) != 0 it is the entry sum of adj(M) @ 1, and otherwise it is
@@ -88,67 +103,91 @@ def eliminate(
 
     Returns ``(det(a), y)``.  When ``rhs`` is given and det(a) != 0, y is the
     integer vector adj(a) @ rhs, so x = y / det(a) solves ``a @ x = rhs``;
-    otherwise y is None.  Mutates ``a``: rows are swapped, rescaled and
-    extended by ``rhs``.
+    otherwise y is None.  Mutates ``a`` (rows are swapped and rescaled in
+    place); ``rhs`` is copied into a vector of its own and left untouched.
 
     The list-of-lists surface lets support enumeration call this directly
     on its hot path.
 
-    Rows whose lead is zero at step k are left unscaled, as the module
-    docstring describes.  A zero test on such a row is still exact, because
-    the skipped factor is nonzero.  Row swaps carry ``base`` along.
+    Rows whose lead is zero at step k are left unscaled, and each row is
+    updated only over its extent, as the module docstring describes.  A
+    zero test on an unscaled row is still exact, because the skipped factor
+    is nonzero.  Row swaps carry ``base``, ``ends`` and the rhs along.
     """
     n = len(a)
-    if rhs is not None:
-        for row, v in zip(a, rhs):
-            row.append(v)
-    width = len(a[0]) if n else 0
+    solve = rhs is not None
+    r = list(rhs) if solve else None
+    ends = [n] * n
     sign = 1
     prev = 1
     base = [1] * n
     for k in range(n):
         row_k = a[k]
-        if row_k[k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], row_k
-                    base[k], base[r] = base[r], base[k]
+        if not row_k[k]:
+            for s in range(k + 1, n):
+                if a[s][k]:
+                    a[k], a[s] = a[s], row_k
+                    base[k], base[s] = base[s], base[k]
+                    ends[k], ends[s] = ends[s], ends[k]
+                    if solve:
+                        r[k], r[s] = r[s], r[k]
                     row_k = a[k]
                     sign = -sign
                     break
             else:
                 return 0, None
+        end = ends[k]
+        while not row_k[end - 1]:  # stops at the pivot, row_k[k] != 0
+            end -= 1
+            ends[k] = end
         b = base[k]
         if b != prev:
-            row_k[k:] = [v * prev // b for v in row_k[k:]]
+            row_k[k:end] = [v * prev // b for v in row_k[k:end]]
+            if solve:
+                r[k] = r[k] * prev // b
         pivot = row_k[k]
-        for i in range(k + 1, n):
+        if solve:
+            rk = r[k]
+        k1 = k + 1
+        for i in range(k1, n):
             row_i = a[i]
             lead = row_i[k]
-            if lead == 0:
+            if not lead:
                 continue
-            b = base[i]
-            if b != prev:
-                row_i[k:] = [v * prev // b for v in row_i[k:]]
+            e = ends[i]
+            if e != end:
+                if e > end:
+                    while not row_i[e - 1]:  # stops at the lead
+                        e -= 1
+                if e < end:
+                    e = end
+                ends[i] = e
+            if base[i] != prev:
+                b = base[i]
+                row_i[k:e] = [v * prev // b for v in row_i[k:e]]
+                if solve:
+                    r[i] = r[i] * prev // b
                 lead = row_i[k]
-            for j in range(k + 1, width):
+            for j in range(k1, e):
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+            if solve:
+                r[i] = (r[i] * pivot - lead * rk) // prev
             base[i] = pivot
         prev = pivot
     d = sign * prev
-    if rhs is None:
+    if not solve:
         return d, None
     # back-substitution on the triangle, scaled by d so y stays integral
     y = [0] * n
     if n:
-        y[-1] = sign * a[-1][n]
+        y[-1] = sign * r[n - 1]
     for i in range(n - 2, -1, -1):
         row = a[i]
-        acc = row[n] * d
-        for j in range(i + 1, n):
+        acc = r[i] * d
+        for j in range(i + 1, ends[i]):
             acc -= row[j] * y[j]
-        q, r = divmod(acc, row[i])
-        if r:
+        q, rem = divmod(acc, row[i])
+        if rem:
             raise ArithmeticError("scaled back-substitution must divide exactly")
         y[i] = q
     return d, y

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import HasPureNE, HypothesisViolation, SymmetryViolation, UnsupportedDimension
 from .exact import IntMatrix, cofactor_sum, eliminate
@@ -278,12 +278,12 @@ class Permutation:
 # prime-block construction
 
 
-def prime_block_game(num_primes: int) -> Game:
-    """Imitation game over blocks sized by the first ``num_primes`` primes.
+def prime_block_matrix(num_primes: int) -> IntMatrix:
+    """Payoff matrix B of ``prime_block_game``.
 
-    B holds, for each prime p, a (p+1) x (p+1) block with zeros exactly where
-    i = j+1 mod p+1, down the diagonal shifted one column right, and a 1 in
-    the bottom-left border cell.
+    B holds, for each of the first ``num_primes`` primes p, a (p+1) x (p+1)
+    block with zeros exactly where i = j+1 mod p+1, down the diagonal
+    shifted one column right, and a 1 in the bottom-left border cell.
     """
     if num_primes < 1:
         raise UnsupportedDimension("need at least one prime block")
@@ -291,7 +291,12 @@ def prime_block_game(num_primes: int) -> Game:
     for p in first_primes(num_primes):
         cells += _block_cells(p + 1, offset, offset + 1)
         offset += p + 1
-    b = _cell_matrix(offset + 1, [*cells, (offset, 0)])
+    return _cell_matrix(offset + 1, [*cells, (offset, 0)])
+
+
+def prime_block_game(num_primes: int) -> Game:
+    """Imitation game against ``prime_block_matrix(num_primes)``."""
+    b = prime_block_matrix(num_primes)
     return Game(IntMatrix.identity(b.n), b, family_tag="primeblock")
 
 
@@ -367,6 +372,13 @@ def beta_ne(n: int) -> tuple[Profile, int]:
     for the remaining k < n, and x'_n = 2 |b_n| + |a_n|.  The canonical
     denominator equals |K(beta_n)| / gcd(b_n, b_{n+1}), which is asserted.
     """
+    profile, c1, _ = _beta_ne(n)
+    return profile, c1
+
+
+def _beta_ne(n: int, b: IntMatrix | None = None) -> tuple[Profile, int, RecurrenceTable]:
+    """``beta_ne(n)`` and the recurrence table it reads, so that a caller
+    needs no second one; ``b`` is ``beta_matrix(n)`` if already built."""
     if n < 8:
         raise UnsupportedDimension("closed form restricted to n >= 8")
     t = recurrence_table(n)
@@ -386,10 +398,10 @@ def beta_ne(n: int) -> tuple[Profile, int]:
     g = math.gcd(*raw)
     x = MixedStrategy(tuple([v // g for v in raw]), sum(raw) // g)
     c1 = x.denominator
-    k_abs = abs(cofactor_sum(beta_matrix(n)))
+    k_abs = abs(cofactor_sum(beta_matrix(n) if b is None else b))
     if c1 * t.g(n) != k_abs:
         raise AssertionError("denominator disagrees with cofactor sum / gcd")
-    return Profile(x, uniform(n)), c1
+    return Profile(x, uniform(n)), c1, t
 
 
 # ---------------------------------------------------------------------------
@@ -431,29 +443,34 @@ def constant_sum_transform(game: Game, pi: Permutation, tau: Permutation) -> Gam
     return Game(IntMatrix(a_rows), game.B, family_tag=tag, constant_sum=1)
 
 
-def _constant_sum(
-    game: Game, pi: Permutation, tau: Permutation, closed_form: Callable[[], tuple[Profile, int]]
-) -> tuple[Game, Profile, int]:
-    """Transform ``game``, then pair the closed-form row strategy x with the
-    column strategy y = pi^-1 x."""
-    game = constant_sum_transform(game, pi, tau)
-    profile, c1 = closed_form()
-    y = MixedStrategy(pi.inverse().apply(profile.x.numerators), profile.x.denominator)
-    return game, Profile(profile.x, y), c1
+def _column_image(profile: Profile, pi: Permutation) -> Profile:
+    """The closed-form row strategy x paired with the column strategy
+    y = pi^-1 x, the equilibrium of the constant-sum transform."""
+    x = profile.x
+    return Profile(x, MixedStrategy(pi.inverse().apply(x.numerators), x.denominator))
 
 
 def constant_sum_beta(n: int) -> tuple[Game, Profile, int]:
     """Constant-sum version of ``beta_game`` with its equilibrium and C."""
+    game, profile, c1, _ = _constant_sum_beta(n)
+    return game, profile, c1
+
+
+def _constant_sum_beta(n: int) -> tuple[Game, Profile, int, RecurrenceTable]:
+    """``constant_sum_beta(n)`` and the recurrence table its closed form
+    reads; ``beta_matrix(n)`` is built once, for the game and the check."""
     rev = Permutation.reversal(n)
-    return _constant_sum(beta_game(n), rev, rev, lambda: beta_ne(n))
+    game = constant_sum_transform(beta_game(n), rev, rev)
+    profile, c1, table = _beta_ne(n, game.B)
+    return game, _column_image(profile, rev), c1, table
 
 
 def constant_sum_prime_block(num_primes: int) -> tuple[Game, Profile, int]:
     """Constant-sum version of ``prime_block_game``."""
     pi, tau = prime_block_symmetry(num_primes)
-    return _constant_sum(
-        prime_block_game(num_primes), pi, tau, lambda: prime_block_ne(num_primes)
-    )
+    game = constant_sum_transform(prime_block_game(num_primes), pi, tau)
+    profile, c1 = prime_block_ne(num_primes)
+    return game, _column_image(profile, pi), c1
 
 
 def permutation_game(pi: Permutation, tau: Permutation) -> tuple[Game, int]:

@@ -175,6 +175,36 @@ def test_scan_constsum_families(capsys):
     assert rows[0][1] == rows[0][2] == "23"
 
 
+def test_scan_rows_build_each_input_once(monkeypatch, capsys):
+    # a scan row builds one recurrence table and one family matrix, and a
+    # prime-block row builds B alone, without an identity A beside it
+    from nashrand import exact, families
+
+    counts: dict[str, int] = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("recurrence_table", "beta_matrix", "prime_block_matrix"):
+        monkeypatch.setattr(families, name, counted(name, getattr(families, name)))
+    monkeypatch.setattr(exact.IntMatrix, "identity",
+                        counted("identity", exact.IntMatrix.identity))
+    expected = {
+        "beta": {"recurrence_table": 1, "beta_matrix": 1},
+        "constsum-beta": {"recurrence_table": 1, "beta_matrix": 1, "identity": 1},
+        "primeblock": {"prime_block_matrix": 1},
+        "constsum-primeblock": {"prime_block_matrix": 1, "identity": 1},
+    }
+    for family, builds in expected.items():
+        counts.clear()
+        n = "9" if family.endswith("beta") else "3"
+        assert run_cli(capsys, "scan", family, "--from", n, "--to", n)[0] == 0
+        assert counts == builds, family
+
+
 def test_scan_closed_form_matches_enumeration(capsys):
     from nashrand.families import beta_game, prime_block_game
     from nashrand.solving import support_enumeration

@@ -13,7 +13,15 @@ from conftest import (
     replace_column,
 )
 from nashrand.exact import IntMatrix, cofactor_sum, det, eliminate
-from nashrand.families import beta_matrix, prime_block_game
+from nashrand.families import (
+    beta_matrix,
+    beta_ne,
+    first_primes,
+    prime_block_game,
+    prime_block_matrix,
+    prime_block_ne,
+    recurrence_table,
+)
 
 
 def det_cofactor_expansion(m: IntMatrix) -> int:
@@ -82,9 +90,10 @@ def _random_rows(rng: random.Random, n: int, density: float) -> list[list[int]]:
 
 
 def _kernel_cases(rng: random.Random) -> list[IntMatrix]:
-    """Matrices up to 7x7: dense and sparse, upper triangular with shuffled
-    rows (zero leads that force row swaps and deferred rescaling), and
-    singular ones (a row that is a multiple of another)."""
+    """Matrices up to 8x8: dense and sparse, upper triangular with shuffled
+    rows (zero leads that force row swaps and deferred rescaling), singular
+    ones (a row that is a multiple of another), and the row-extent shapes
+    of ``_extent_cases``."""
     cases = [IntMatrix(rows) for rows in DEFERRED_CASES]
     for _ in range(200):
         n = rng.randint(1, 7)
@@ -97,6 +106,57 @@ def _kernel_cases(rng: random.Random) -> list[IntMatrix]:
         elif shape < 0.4 and n > 1:
             i, j = rng.sample(range(n), 2)
             rows[i] = [2 * v for v in rows[j]]
+        cases.append(IntMatrix(rows))
+    # a stream of its own, so the cases above and their rhs draws stay put
+    return cases + _extent_cases(random.Random(1968))
+
+
+def _entry(rng: random.Random) -> int:
+    return rng.choice((-1, 1)) * rng.randint(1, 4)
+
+
+def _extent_cases(rng: random.Random) -> list[IntMatrix]:
+    """Shapes whose rows end well before the last column, so the kernel's
+    row extents decide which entries it updates:
+
+    * banded + border, like ``beta_matrix``: the band {i-2, i, i+1} one
+      column right and a border cell in the bottom-left corner;
+    * shifted blocks + border, like the prime-block B: dense blocks down the
+      diagonal one column right, and the same border cell;
+    * short rows under a long first row, whose extents grow by fill-in;
+    * a short row with a zero lead above a long one, so the pivot swap
+      puts the short row under the long one.
+    """
+    cases = []
+    for n in range(2, 9):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            for j in (i - 2, i, i + 1):
+                if 0 <= j < n - 1:
+                    rows[i][j + 1] = _entry(rng)
+        rows[n - 1][0] = _entry(rng)
+        cases.append(IntMatrix(rows))
+    for sizes in ((2,), (2, 3), (3, 2, 2), (2, 2, 3)):
+        n = sum(sizes) + 1
+        rows = [[0] * n for _ in range(n)]
+        offset = 0
+        for m in sizes:
+            for i in range(m):
+                for j in range(m):
+                    if rng.random() < 0.8:
+                        rows[offset + i][offset + 1 + j] = _entry(rng)
+            offset += m
+        rows[n - 1][0] = _entry(rng)
+        cases.append(IntMatrix(rows))
+    for n in range(3, 8):
+        # row i > 0 ends at column i + 1; step 0 widens every such row to n
+        rows = [[_entry(rng) for _ in range(n)]]
+        rows += [[_entry(rng) if j <= i else 0 for j in range(n)] for i in range(1, n)]
+        cases.append(IntMatrix(rows))
+        # row 0 is short and has a zero lead; the long row n - 1 swaps in
+        rows = [[0, _entry(rng)] + [0] * (n - 2)]
+        rows += [[0] * i + [_entry(rng) for _ in range(n - i)] for i in range(1, n - 1)]
+        rows.append([_entry(rng) for _ in range(n)])
         cases.append(IntMatrix(rows))
     return cases
 
@@ -116,7 +176,29 @@ def test_eliminate_matches_cofactor_expansion():
         else:
             # y = adj(m) @ rhs, so m @ y = det(m) * rhs
             assert [sum(map(mul, r, y)) for r in m.rows] == [d * v for v in rhs]
+            # a unit rhs, all zeros but the last, as in the solver's systems
+            unit = [0] * (m.n - 1) + [1]
+            got, y = eliminate([list(r) for r in m.rows], unit)
+            assert got == d
+            assert [sum(map(mul, r, y)) for r in m.rows] == [d * v for v in unit]
     assert singular >= 20
+
+
+def test_family_matrices_match_closed_forms_up_to_n_400():
+    # Second sources for the kernel on the paper's sparse families, well
+    # past what cofactor expansion reaches: |det beta_n| = det_b(n - 1) and
+    # |K(beta_n)| = C1 * g(n) from the recurrences, |det B| = the product of
+    # the primes and |K(B)| = C1 for the prime-block matrix.  Every n up to
+    # 40, then a stride, keeps the test near one second.
+    t = recurrence_table(400)
+    for n in sorted({*range(8, 41), *range(41, 400, 23), 400}):
+        m = beta_matrix(n)
+        assert abs(det(m)) == t.det_b(n - 1)
+        assert abs(cofactor_sum(m)) == beta_ne(n)[1] * t.g(n)
+    for k in range(1, 13):
+        b = prime_block_matrix(k)
+        assert abs(det(b)) == math.prod(first_primes(k))
+        assert abs(cofactor_sum(b)) == prime_block_ne(k)[1]
 
 
 def test_det_transpose_and_column_swap():
