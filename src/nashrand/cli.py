@@ -90,8 +90,8 @@ RECURRENCE_CAP = 10_000
 SAMPLE_CAP = 10**8
 # largest side of a family payoff matrix that gen and scan build; a scan
 # row's elimination is at most cubic in the side (the largest admitted rows,
-# beta at side 500 and primeblock at side 458, take 0.06 s and 0.17 s, and
-# 0.2 s and 0.4 s as constant-sum games, on a shared 2-core host)
+# beta at side 500 (no elimination) and primeblock at side 458, take 0.002 s
+# and 0.17 s, and 0.2 s and 0.4 s as constant-sum games, on a shared 2-core host)
 FAMILY_CAP = 500
 MAX_N_ENV = "NASHRAND_MAX_N"
 
@@ -275,13 +275,17 @@ def cmd_recurrence(args: argparse.Namespace) -> int:
                                 f"(estimated output {args.to ** 2 // 4} bytes of CSV)")
     table = families.recurrence_table(args.to)
     lines = ["n,a,b,det_b,g,ratio_b_next_over_b"]
+    # the one runtime check of the identities the trailer line names
     for n in range(1, args.to + 1):
-        ratio = "" if table.b(n) == 0 else f"{table.b(n + 1) / table.b(n):.6g}"
-        lines.append(
-            f"{n},{table.a(n)},{table.b(n)},{table.det_b(n)},{table.g(n)},{ratio}"
-        )
-        if table.a(n) != table.b(n) + table.b(n + 1):
+        a, b, b_next = table.a(n), table.b(n), table.b(n + 1)
+        ratio = "" if b == 0 else f"{b_next / b:.6g}"
+        lines.append(f"{n},{a},{b},{table.det_b(n)},{table.g(n)},{ratio}")
+        if a != b + b_next:
             raise HypothesisViolation(f"identity a(n) = b(n) + b(n+1) fails at n={n}")
+        if n >= 3 and table.det_b(n - 1) != 2 * abs(b) + abs(a):
+            raise HypothesisViolation(f"identity det_b(n-1) = 2|b(n)| + |a(n)| fails at n={n}")
+        if n >= 4 and not (b > 0 if n % 2 == 0 else b < 0):
+            raise HypothesisViolation(f"identity sign(b(n)) = (-1)^n fails at n={n}")
     lines.append("# identities verified: a(n) = b(n) + b(n+1); "
                  "det recurrence; sign(b(n)) = (-1)^n for n >= 4")
     _write("\n".join(lines) + "\n", args.out)

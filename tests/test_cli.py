@@ -176,9 +176,13 @@ def test_scan_constsum_families(capsys):
 
 
 def test_scan_rows_build_each_input_once(monkeypatch, capsys):
-    # a scan row builds one recurrence table and one family matrix, and a
-    # prime-block row builds B alone, without an identity A beside it
-    from nashrand import exact, families
+    # a scan row builds one recurrence table or one family matrix, and a
+    # prime-block row builds B alone, without an identity A beside it.  A
+    # closed form eliminates nothing to check itself: the only eliminations
+    # are the constant-sum transform's hypothesis check and a prime-block
+    # row's det and cofactor sum of B (exact is patched too, so a det or
+    # cofactor_sum call from anywhere is counted)
+    from nashrand import cli, exact, families
 
     counts: dict[str, int] = {}
 
@@ -190,13 +194,16 @@ def test_scan_rows_build_each_input_once(monkeypatch, capsys):
 
     for name in ("recurrence_table", "beta_matrix", "prime_block_matrix"):
         monkeypatch.setattr(families, name, counted(name, getattr(families, name)))
+    for module in (exact, families, cli):
+        monkeypatch.setattr(module, "eliminate", counted("eliminate", module.eliminate))
     monkeypatch.setattr(exact.IntMatrix, "identity",
                         counted("identity", exact.IntMatrix.identity))
     expected = {
-        "beta": {"recurrence_table": 1, "beta_matrix": 1},
-        "constsum-beta": {"recurrence_table": 1, "beta_matrix": 1, "identity": 1},
-        "primeblock": {"prime_block_matrix": 1},
-        "constsum-primeblock": {"prime_block_matrix": 1, "identity": 1},
+        "beta": {"recurrence_table": 1},
+        "constsum-beta": {"recurrence_table": 1, "beta_matrix": 1, "identity": 1,
+                          "eliminate": 1},
+        "primeblock": {"prime_block_matrix": 1, "eliminate": 1},
+        "constsum-primeblock": {"prime_block_matrix": 1, "identity": 1, "eliminate": 2},
     }
     for family, builds in expected.items():
         counts.clear()
@@ -253,17 +260,30 @@ def test_recurrence_rows(capsys):
 
 
 def test_recurrence_identity_failure_exits_three(monkeypatch, capsys):
-    # the check must survive python -O and end in the hypothesis exit code
+    # recurrence is the one runtime check of the three identities its trailer
+    # names; each must survive python -O and end in the hypothesis exit code.
+    # Each corrupted table below breaks exactly one identity.
     from nashrand import families
 
-    good = families.recurrence_table(9)
-    bad_a = (good.a_values[0] + 1,) + good.a_values[1:]
-    bad = families.RecurrenceTable(
-        good.upto, bad_a, good.b_values, good.det_b_values, good.g_values
+    good = families.recurrence_table(30)
+    a, b, det_b = (list(v) for v in (good.a_values, good.b_values, good.det_b_values))
+    a_bad, det_bad = a[:], det_b[:]
+    a_bad[0] += 1
+    det_bad[19] += 1  # det_b(20), read against a(21) and b(21)
+    cases = (
+        ((a_bad, b, det_b), "a(n) = b(n) + b(n+1) fails at n=1"),
+        ((a, b, det_bad), "det_b(n-1) = 2|b(n)| + |a(n)| fails at n=21"),
+        # negating both sequences keeps the sum and |.| identities, so only
+        # the sign check (from n = 4 on) can catch it
+        (([-v for v in a], [-v for v in b], det_b), "sign(b(n)) = (-1)^n fails at n=4"),
     )
-    monkeypatch.setattr(families, "recurrence_table", lambda upto: bad)
-    assert main(["recurrence", "--to", "9"]) == 3
-    assert "a(n) = b(n) + b(n+1) fails at n=1" in capsys.readouterr().err
+    for (a_values, b_values, det_values), message in cases:
+        bad = families.RecurrenceTable(good.upto, tuple(a_values), tuple(b_values),
+                                       tuple(det_values), good.g_values)
+        monkeypatch.setattr(families, "recurrence_table", lambda upto: bad)
+        assert main(["recurrence", "--to", "30"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis violation: ") and message in err, message
 
 
 def test_sample_command(tmp_path, capsys):

@@ -26,7 +26,6 @@ from nashrand.families import (
     _band_cells,
     _block_cells,
     _cell_matrix,
-    _check_table,
     asymptotic_checks,
     beta_game,
     beta_matrix,
@@ -262,17 +261,32 @@ def test_recurrence_identities_long_range():
             assert t.b(n) != 0
     for n in range(4, 201):
         assert t.det_b(n) == t.det_b(n - 1) + t.det_b(n - 3)
+    # |det beta_n| = det B_{n-1} = 2|b_n| + |a_n|, read off the table alone
+    for n in range(3, 201):
+        assert t.det_b(n - 1) == 2 * abs(t.b(n)) + abs(t.a(n))
 
 
-def test_recurrence_check_rejects_a_corrupted_det_b():
+def test_recurrence_check_rejects_a_corrupted_det_b(monkeypatch, capsys):
+    # recurrence_table checks nothing itself; the recurrence command is the
+    # runtime check, and it must pass the true table and reject a det_b that
+    # is off by one, as a HypothesisViolation rather than an assert
+    import argparse
+
+    from nashrand import families
+    from nashrand.cli import cmd_recurrence
+
+    args = argparse.Namespace(to=30, out=None)
     good = recurrence_table(30)
-    _check_table(good)
+    assert cmd_recurrence(args) == 0
+    capsys.readouterr()
     det_b = list(good.det_b_values)
     det_b[19] += 1
     bad = RecurrenceTable(good.upto, good.a_values, good.b_values, tuple(det_b),
                           good.g_values)
-    with pytest.raises(AssertionError, match=r"det_b\(20\) != 2\|b\(21\)\|"):
-        _check_table(bad)
+    monkeypatch.setattr(families, "recurrence_table", lambda upto: bad)
+    with pytest.raises(HypothesisViolation,
+                       match=r"det_b\(n-1\) = 2\|b\(n\)\| \+ \|a\(n\)\| fails at n=21"):
+        cmd_recurrence(args)
 
 
 def test_banded_determinants_match_table():
