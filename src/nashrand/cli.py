@@ -28,7 +28,6 @@ from .errors import (
     SymmetryViolation,
     UnsupportedDimension,
 )
-from .exact import eliminate
 from .games import (
     Game,
     capability_admissible,
@@ -67,19 +66,40 @@ _EXAMPLES = {"example1": "beta", "example2": "constsum-beta"}
 GEN_FAMILIES = (*_GENERATORS, *_EXAMPLES)
 
 
-def _constsum_prime_block_form(n: int) -> tuple:
-    game, profile, c1 = families.constant_sum_prime_block(n)
-    return profile, c1, game.B
+def _beta_row(n: int) -> tuple:
+    profile, c1, table = families._beta_ne(n)
+    g = table.g(n)
+    return profile, c1, g, table.det_b(n - 1), c1 * g
 
 
-# closed-form (profile, C_1) of each family scan covers, and the source of
-# the row's other columns: the recurrence table the beta closed form read,
-# or the prime-block payoff matrix B
+def _prime_block_row(k: int) -> tuple:
+    profile, c1 = families.prime_block_ne(k)
+    return profile, c1, None, math.prod(families.first_primes(k)), c1
+
+
+def _constant_sum_row(base_row, pi_of):
+    """Scan row of the constant-sum transform of a base family.
+
+    The transform keeps B, so every column but the profile is the base
+    family's, and the profile pairs x with y = pi^-1 x.  Its hypotheses hold
+    at every n, so no game is built to check them: A = I and the (pi, tau)
+    symmetry hold by construction, |det B| > 0, and |K(B)| > |det B|.  For
+    beta |K| = C_1 g(n) is the sum of the positive raw coordinates, the last
+    of which is det_b(n - 1) = |det B|; for prime blocks C_1 > prod(p).
+    """
+    def row(n: int) -> tuple:
+        profile, *columns = base_row(n)
+        return (families._column_image(profile, pi_of(n)), *columns)
+    return row
+
+
+# closed-form (profile, C_1, g_n, |det B|, |K(B)|) of each family scan covers
 _SCAN_FORMS = {
-    "beta": families._beta_ne,
-    "primeblock": lambda n: (*families.prime_block_ne(n), families.prime_block_matrix(n)),
-    "constsum-beta": lambda n: families._constant_sum_beta(n)[1:],
-    "constsum-primeblock": _constsum_prime_block_form,
+    "beta": _beta_row,
+    "primeblock": _prime_block_row,
+    "constsum-beta": _constant_sum_row(_beta_row, families.Permutation.reversal),
+    "constsum-primeblock": _constant_sum_row(
+        _prime_block_row, lambda k: families.prime_block_symmetry(k)[0]),
 }
 SCAN_FAMILIES = tuple(_SCAN_FORMS)
 SCAN_COLUMNS = ("n", "c1", "c2", "log2_c1_over_n", "g_n", "abs_det", "abs_k", "wallclock_ms")
@@ -88,10 +108,11 @@ RECURRENCE_CAP = 10_000
 # largest `sample --count`: draws of uniform(1000) take about 1.5 s per
 # million (shared 2-core host), so about 150 s at the cap
 SAMPLE_CAP = 10**8
-# largest side of a family payoff matrix that gen and scan build; a scan
-# row's elimination is at most cubic in the side (the largest admitted rows,
-# beta at side 500 (no elimination) and primeblock at side 458, take 0.002 s
-# and 0.17 s, and 0.2 s and 0.4 s as constant-sum games, on a shared 2-core host)
+# largest side of a family payoff matrix that gen builds and scan admits;
+# gen's constant-sum transform eliminates B, at most cubic in the side, and
+# scan builds no matrix.  At the cap, beta at side 500 and primeblock at
+# side 458, gen builds in 0.05 s and 0.05 s, or 0.15 s and 0.24 s as
+# constant-sum games, and a scan row takes 0.2 to 2 ms (shared 2-core host)
 FAMILY_CAP = 500
 MAX_N_ENV = "NASHRAND_MAX_N"
 
@@ -125,7 +146,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _check_family_size(family: str, n: int) -> None:
-    """Refuse a family matrix above FAMILY_CAP before any of it is built."""
+    """Refuse a family matrix above FAMILY_CAP before anything is built."""
     side, at_least = n, ""
     if family.endswith("primeblock"):
         # a block of p + 1 strategies per prime, plus the border; FAMILY_CAP
@@ -134,8 +155,8 @@ def _check_family_size(family: str, n: int) -> None:
         at_least = "at least " if n > FAMILY_CAP else ""
     if side > FAMILY_CAP:
         raise DimensionTooLarge(
-            f"{family} --n {n} needs a payoff matrix of side {at_least}{side}, "
-            f"above the family cap {FAMILY_CAP} (elimination cost grows as the cube)"
+            f"{family} --n {n} has a payoff matrix of side {at_least}{side}, "
+            f"above the family cap {FAMILY_CAP} (gen's elimination grows as the cube)"
         )
 
 
@@ -239,16 +260,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _scan_row(family: str, n: int) -> dict:
     """One scan row by column; the float columns come formatted."""
     start = time.perf_counter()
-    profile, c1, source = _SCAN_FORMS[family](n)
-    if family.endswith("beta"):
-        g = source.g(n)
-        absdet = source.det_b(n - 1)
-        abs_k = c1 * g
-    else:
-        g = None
-        d, y = eliminate([list(row) for row in source.rows], [1] * source.n)
-        absdet = abs(d)
-        abs_k = abs(sum(y))
+    profile, c1, g, absdet, abs_k = _SCAN_FORMS[family](n)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     side = profile.x.n
     fields = (side, c1, complexity(profile.y), f"{math.log2(c1) / side:.6g}",

@@ -301,6 +301,25 @@ def prime_block_ne(num_primes: int) -> tuple[Profile, int]:
     player puts weight 1/(p_k D) on every strategy of block k and the large
     weight 1/D on the bordered strategy N, where D = n + 1 + sum(1/p_k).
     The exact denominator is (n+1) * prod(p) + sum_k prod_{l != k}(p).
+
+    The matrix B = ``prime_block_matrix(n)`` has det B = -prod(p) and
+    cofactor sum K(B) = -C_1, so no elimination is needed for either:
+
+    * Expand det B along its last row, e_1^T.  What is left is the block
+      diagonal of the J_m - C_m, m = p + 1, with J_m all ones and C_m the
+      cyclic shift.  They commute and share the Fourier eigenvectors, on
+      which J_m - C_m takes m - 1 (on the ones vector) and -w^j for
+      j = 1..m-1 (w = e^(2 pi i / m), prod w^j = (-1)^(m-1)), so
+      det(J_m - C_m) = m - 1 = p.  The expansion's sign is (-1)^(N+1), and
+      N - 1 = sum(p) + n is odd (sum(p) has the parity of n - 1), so
+      det B = -prod(p).
+    * B x = 1 is solved by x_1 = 1 and x = 1/p on the block of p: a block
+      row holds m - 1 = p ones.  Hence K(B) = det B * 1^T B^-1 1 =
+      -prod(p) * (1 + sum (p+1)/p) = -C_1.
+
+    ``test_family_matrices_match_closed_forms_up_to_n_400`` checks both
+    signs against the Bareiss kernel for n = 1..17, every n the family cap
+    admits.
     """
     if num_primes < 1:
         raise UnsupportedDimension("need at least one prime block")
@@ -442,18 +461,10 @@ def _column_image(profile: Profile, pi: Permutation) -> Profile:
 
 def constant_sum_beta(n: int) -> tuple[Game, Profile, int]:
     """Constant-sum version of ``beta_game`` with its equilibrium and C."""
-    game, profile, c1, _ = _constant_sum_beta(n)
-    return game, profile, c1
-
-
-def _constant_sum_beta(n: int) -> tuple[Game, Profile, int, RecurrenceTable]:
-    """``constant_sum_beta(n)`` and the recurrence table its closed form
-    reads.  ``beta_matrix(n)`` is built and eliminated once, by the
-    transform's hypothesis check; the closed form reads only the table."""
     rev = Permutation.reversal(n)
     game = constant_sum_transform(beta_game(n), rev, rev)
-    profile, c1, table = _beta_ne(n)
-    return game, _column_image(profile, rev), c1, table
+    profile, c1 = beta_ne(n)
+    return game, _column_image(profile, rev), c1
 
 
 def constant_sum_prime_block(num_primes: int) -> tuple[Game, Profile, int]:

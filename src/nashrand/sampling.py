@@ -19,9 +19,13 @@ v the next D bits and the marks T_l = S_l 2^(D - l), which do not
 decrease, u_l < S_l holds exactly when v < T_l, because u_l 2^(D - l) <= v
 < (u_l + 1) 2^(D - l).  Hence l = bisect_right(T, v); the draw skips l
 bits and returns leaf (v - T_(l-1)) >> (D - l) of level l.  If v >= T_D it
-builds one more level and peeks again; past DEPTH_CAP it skips DEPTH_CAP
-bits and raises SamplerStall.  Outcomes and bits consumed are those of the
-bit-by-bit walk, at one peek, one bisect and one skip per draw.
+builds levels D + 1, D + 2, ... until the first l with u_l < S_l, the level
+that walk resolves on, rescales the old marks once, and peeks again; a walk
+that reaches DEPTH_CAP unresolved skips DEPTH_CAP bits and raises
+SamplerStall.  Building stops where the bit-by-bit walk would stop, so the
+tree is exactly as deep as the deepest walk so far, and a walk that adds L
+levels costs O(D + L) mark shifts.  Outcomes and bits consumed are those of
+the bit-by-bit walk, at one peek, one bisect and one skip per draw.
 
 Levels are built lazily from the integer remainders r_i = p_i 2^l mod q
 (r <- 2r; emit i and subtract q when r >= q) and shared by all draws.  The
@@ -99,18 +103,29 @@ class DdgSampler:
     def n(self) -> int:
         return self.target.n
 
-    def _deepen(self, depth: int) -> list[int]:
-        """Marks of a tree at least ``depth + 1`` levels deep."""
+    def _deepen(self, bits: BitSource) -> list[int]:
+        """Marks of a tree deep enough to resolve the walk ``bits`` starts,
+        or DEPTH_CAP levels deep if it does not resolve by then."""
         with self._lock:  # concurrent walks must not build a level twice
-            if len(self._marks) == depth + 1:
-                q = self.target.denominator
-                doubled = [r << 1 for r in self._rem]
+            marks = self._marks
+            depth, s = len(marks) - 1, marks[-1]  # s = S_depth = T_depth
+            if bits.peek(depth) < s:  # another walk has built the level
+                return marks
+            q, rem, added = self.target.denominator, self._rem, []
+            while depth < DEPTH_CAP:
+                depth += 1
+                doubled = [r << 1 for r in rem]
                 level = [i for i, r in zip(self._outcomes, doubled) if r >= q]
-                self._rem = [r - q if r >= q else r for r in doubled]
+                rem = [r - q if r >= q else r for r in doubled]
                 self._levels.append(level)  # before the marks that reach it
-                marks = [t << 1 for t in self._marks]
-                marks.append(marks[-1] + len(level))
-                self._marks = marks
+                s = (s << 1) + len(level)
+                added.append(s)
+                if bits.peek(depth) < s:
+                    break
+            self._rem = rem
+            k = len(added)  # one rescale: T_l = S_l 2^(depth - l)
+            self._marks = [t << k for t in marks] + [
+                t << (k - 1 - j) for j, t in enumerate(added)]
             return self._marks
 
     def sample(self, bits: BitSource) -> int:
@@ -128,7 +143,7 @@ class DdgSampler:
             if depth == DEPTH_CAP:
                 bits.skip(DEPTH_CAP)
                 raise SamplerStall(f"no resolution within {DEPTH_CAP} bits")
-            marks = self._deepen(depth)
+            marks = self._deepen(bits)
 
 
 @dataclass(frozen=True)

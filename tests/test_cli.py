@@ -6,8 +6,9 @@ import time
 import pytest
 
 from conftest import DATA, GOLDEN, X1_NUMERATORS, Y2_NUMERATORS
-from nashrand.cli import main
+from nashrand.cli import generate_family, main
 from nashrand.families import beta_ne
+from nashrand.games import complexity, is_nash
 from nashrand.serialize import dumps_game, dumps_profile, load_game, strategy_to_json
 
 
@@ -176,13 +177,11 @@ def test_scan_constsum_families(capsys):
 
 
 def test_scan_rows_build_each_input_once(monkeypatch, capsys):
-    # a scan row builds one recurrence table or one family matrix, and a
-    # prime-block row builds B alone, without an identity A beside it.  A
-    # closed form eliminates nothing to check itself: the only eliminations
-    # are the constant-sum transform's hypothesis check and a prime-block
-    # row's det and cofactor sum of B (exact is patched too, so a det or
-    # cofactor_sum call from anywhere is counted)
-    from nashrand import cli, exact, families
+    # every column of a scan row comes from a closed form: no row builds a
+    # payoff matrix or an identity, eliminates, or runs the constant-sum
+    # transform, and a beta or constant-sum beta row reads one recurrence
+    # table (exact is patched too, so an eliminate call from anywhere counts)
+    from nashrand import exact, families
 
     counts: dict[str, int] = {}
 
@@ -192,18 +191,18 @@ def test_scan_rows_build_each_input_once(monkeypatch, capsys):
             return fn(*args)
         return wrapper
 
-    for name in ("recurrence_table", "beta_matrix", "prime_block_matrix"):
+    for name in ("recurrence_table", "beta_matrix", "prime_block_matrix",
+                 "constant_sum_transform"):
         monkeypatch.setattr(families, name, counted(name, getattr(families, name)))
-    for module in (exact, families, cli):
+    for module in (exact, families):
         monkeypatch.setattr(module, "eliminate", counted("eliminate", module.eliminate))
     monkeypatch.setattr(exact.IntMatrix, "identity",
                         counted("identity", exact.IntMatrix.identity))
     expected = {
         "beta": {"recurrence_table": 1},
-        "constsum-beta": {"recurrence_table": 1, "beta_matrix": 1, "identity": 1,
-                          "eliminate": 1},
-        "primeblock": {"prime_block_matrix": 1, "eliminate": 1},
-        "constsum-primeblock": {"prime_block_matrix": 1, "identity": 1, "eliminate": 2},
+        "constsum-beta": {"recurrence_table": 1},
+        "primeblock": {},
+        "constsum-primeblock": {},
     }
     for family, builds in expected.items():
         counts.clear()
@@ -213,25 +212,35 @@ def test_scan_rows_build_each_input_once(monkeypatch, capsys):
 
 
 def test_scan_closed_form_matches_enumeration(capsys):
-    from nashrand.families import beta_game, prime_block_game
+    from nashrand import cli
+    from nashrand.exact import eliminate
+    from nashrand.families import constant_sum_beta, constant_sum_prime_block
     from nashrand.solving import support_enumeration
 
-    def minima(game):
-        report = support_enumeration(game, max_n=14)
-        return report.c1_min, report.c2_min
-
-    rc, out = run_cli(capsys, "scan", "beta", "--from", "8", "--to", "14")
-    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    assert [int(row[0]) for row in rows] == list(range(8, 15))
-    for row in rows:
-        game = beta_game(int(row[0]))
-        assert (int(row[1]), int(row[2])) == minima(game)
-    rc, out = run_cli(capsys, "scan", "primeblock", "--from", "1", "--to", "3")
-    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    assert [int(row[0]) for row in rows] == [4, 8, 14]  # N for k = 1..3
-    for k, row in enumerate(rows, start=1):
-        game = prime_block_game(k)
-        assert (int(row[1]), int(row[2])) == minima(game)
+    for family, params in (("beta", range(8, 15)), ("constsum-beta", range(8, 15)),
+                           ("primeblock", range(1, 4)),
+                           ("constsum-primeblock", range(1, 4))):
+        rc, out = run_cli(capsys, "scan", family, "--from", str(params[0]),
+                          "--to", str(params[-1]))
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert rc == 0 and len(rows) == len(params)
+        for k, row in zip(params, rows):
+            game = generate_family(family, k)
+            assert int(row[0]) == game.n
+            report = support_enumeration(game, max_n=14)
+            assert (int(row[1]), int(row[2])) == (report.c1_min, report.c2_min), (family, k)
+    # the constant-sum rows reuse the base family's columns; at the cap,
+    # past enumeration, they must still describe the transformed game
+    for family, k, build in (("constsum-beta", 500, constant_sum_beta),
+                             ("constsum-primeblock", 17, constant_sum_prime_block)):
+        game, profile, c1 = build(k)
+        row = cli._scan_row(family, k)
+        scanned = cli._SCAN_FORMS[family](k)[0]
+        assert scanned == profile
+        assert (row["n"], row["c1"], row["c2"]) == (game.n, c1, complexity(profile.y))
+        d, y = eliminate([list(r) for r in game.B.rows], [1] * game.n)
+        assert (row["abs_det"], row["abs_k"]) == (abs(d), abs(sum(y)))
+        assert is_nash(game, scanned)
 
 
 def test_solve_warns_on_degeneracy(tmp_path, capsys):

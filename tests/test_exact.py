@@ -187,18 +187,20 @@ def test_eliminate_matches_cofactor_expansion():
 def test_family_matrices_match_closed_forms_up_to_n_400():
     # Second sources for the kernel on the paper's sparse families, well
     # past what cofactor expansion reaches: |det beta_n| = det_b(n - 1) and
-    # |K(beta_n)| = C1 * g(n) from the recurrences, |det B| = the product of
-    # the primes and |K(B)| = C1 for the prime-block matrix.  Every n up to
-    # 40, then a stride, keeps the test near one second.
+    # |K(beta_n)| = C1 * g(n) from the recurrences, det B = -(the product of
+    # the primes) and K(B) = -C1 for the prime-block matrix, signs included,
+    # for every k up to the family cap (scan reads both from the closed
+    # form).  Every beta n up to 40, then a stride, keeps the test under two
+    # seconds.
     t = recurrence_table(400)
     for n in sorted({*range(8, 41), *range(41, 400, 23), 400}):
         m = beta_matrix(n)
         assert abs(det(m)) == t.det_b(n - 1)
         assert abs(cofactor_sum(m)) == beta_ne(n)[1] * t.g(n)
-    for k in range(1, 13):
+    for k in range(1, 18):
         b = prime_block_matrix(k)
-        assert abs(det(b)) == math.prod(first_primes(k))
-        assert abs(cofactor_sum(b)) == prime_block_ne(k)[1]
+        assert det(b) == -math.prod(first_primes(k))
+        assert cofactor_sum(b) == -prime_block_ne(k)[1]
 
 
 def test_det_transpose_and_column_swap():

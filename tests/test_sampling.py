@@ -254,6 +254,35 @@ def test_sampler_stall_guard():
     assert bits.bits_consumed == DEPTH_CAP
 
 
+def test_tree_is_as_deep_as_the_deepest_walk():
+    # Levels are built only until the walk that asked for them resolves, so
+    # after seeded draws the tree is exactly as deep as the longest draw.
+    # The depths and bit counts are pinned: the benchmark's distributions
+    # after 20k draws at BitSource(1).
+    dists = {
+        "beta40": beta_ne(40)[0].x,
+        "beta200": beta_ne(200)[0].x,
+        "primeblock10": prime_block_ne(10)[0].x,
+        "uniform1000": uniform(1000),
+    }
+    got = {}
+    for name, x in dists.items():
+        s, bits, longest = DdgSampler(x), BitSource(1), 0
+        for _ in range(20_000):
+            before = bits.bits_consumed
+            s.sample(bits)
+            longest = max(longest, bits.bits_consumed - before)
+        depth = len(s._marks) - 1
+        assert depth == longest, name
+        got[name] = (depth, bits.bits_consumed)
+    assert got == {
+        "beta40": (18, 130367),
+        "beta200": (21, 169662),
+        "primeblock10": (20, 152100),
+        "uniform1000": (27, 203111),
+    }
+
+
 def test_bit_string_enumeration_matches_analyze():
     # Independent second source for analyze: replay all 2^D bit strings of
     # length D through the walk, each weighing 2^-D.  A string still
