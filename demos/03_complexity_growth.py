@@ -13,14 +13,11 @@ from nashrand import (
     beta_game,
     beta_ne,
     complexity_upper_bound,
-    first_primes,
     prime_block_ne,
-    recurrence_table,
 )
 
 print("banded family: imitation games with payoff matrices of 0/1 entries")
 print("n    C(x_n)                 (1/n) log2 C    bound for player 1")
-T = recurrence_table(40)
 for n in range(8, 41, 4):
     _, c1 = beta_ne(n)
     bound = complexity_upper_bound(beta_game(n))[0]
@@ -31,7 +28,6 @@ print("k  N    C1 = (k+1) prod(p) + sum prod(p)/p    C2 = N")
 for k in range(1, 9):
     profile, c1 = prime_block_ne(k)
     n = profile.x.n
-    primes = first_primes(k)
     print(f"{k:<2} {n:<4} {c1:<38} {n}")
 
 print("\nthe uniform side stays linear while the structured side explodes:")

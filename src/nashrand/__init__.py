@@ -19,7 +19,6 @@ from .errors import (
     ParseError,
     SamplerStall,
     SingularMatrix,
-    SymmetryViolation,
     UnsupportedDimension,
 )
 from .exact import IntMatrix, cofactor_sum, det
@@ -34,14 +33,11 @@ from .families import (
     beta_ne,
     constant_sum_beta,
     constant_sum_prime_block,
-    constant_sum_transform,
     first_primes,
-    is_symmetric_under,
     permutation_game,
     prime_block_game,
     prime_block_matrix,
     prime_block_ne,
-    prime_block_symmetry,
     recurrence_constants,
     recurrence_table,
     two_by_two_complexities,

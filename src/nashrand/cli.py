@@ -25,7 +25,6 @@ from .errors import (
     NotADistribution,
     ParseError,
     SamplerStall,
-    SymmetryViolation,
     UnsupportedDimension,
 )
 from .games import (
@@ -78,18 +77,16 @@ def _prime_block_row(k: int) -> tuple:
 
 
 def _constant_sum_row(base_row, pi_of):
-    """Scan row of the constant-sum transform of a base family.
+    """Scan row of the constant-sum twin (1 - B, B) of a base family.
 
-    The transform keeps B, so every column but the profile is the base
-    family's, and the profile pairs x with y = pi^-1 x.  Its hypotheses hold
-    at every n, so no game is built to check them: A = I and the (pi, tau)
-    symmetry hold by construction, |det B| > 0, and |K(B)| > |det B|.  For
-    beta |K| = C_1 g(n) is the sum of the positive raw coordinates, the last
-    of which is det_b(n - 1) = |det B|; for prime blocks C_1 > prod(p).
+    The twin keeps B, so every column but the profile is the base family's,
+    and the profile pairs x with y = pi^-1 x, pi = ``pi_of(side)``; why that
+    holds at every n, with no game built, is ``families._column_image``'s
+    argument, which the gen path cites too.
     """
     def row(n: int) -> tuple:
         profile, *columns = base_row(n)
-        return (families._column_image(profile, pi_of(n)), *columns)
+        return (families._column_image(profile, pi_of(profile.x.n)), *columns)
     return row
 
 
@@ -99,7 +96,7 @@ _SCAN_FORMS = {
     "primeblock": _prime_block_row,
     "constsum-beta": _constant_sum_row(_beta_row, families.Permutation.reversal),
     "constsum-primeblock": _constant_sum_row(
-        _prime_block_row, lambda k: families.prime_block_symmetry(k)[0]),
+        _prime_block_row, families.Permutation.forward_cycle),
 }
 SCAN_FAMILIES = tuple(_SCAN_FORMS)
 SCAN_COLUMNS = ("n", "c1", "c2", "log2_c1_over_n", "g_n", "abs_det", "abs_k", "wallclock_ms")
@@ -109,10 +106,11 @@ RECURRENCE_CAP = 10_000
 # million (shared 2-core host), so about 150 s at the cap
 SAMPLE_CAP = 10**8
 # largest side of a family payoff matrix that gen builds and scan admits;
-# gen's constant-sum transform eliminates B, at most cubic in the side, and
-# scan builds no matrix.  At the cap, beta at side 500 and primeblock at
-# side 458, gen builds in 0.05 s and 0.05 s, or 0.15 s and 0.24 s as
-# constant-sum games, and a scan row takes 0.2 to 2 ms (shared 2-core host)
+# gen builds and writes both payoff matrices, side^2 entries each, and scan
+# builds no matrix.  At the cap, beta at side 500 and primeblock at side
+# 458, gen builds in 0.03 s and 0.03 s, or 0.05 s and 0.05 s as constant-sum
+# games, and writes 1.5 MB and 1.3 MB of JSON; a scan row takes 0.2 to 2 ms
+# (shared 2-core host)
 FAMILY_CAP = 500
 MAX_N_ENV = "NASHRAND_MAX_N"
 
@@ -156,7 +154,7 @@ def _check_family_size(family: str, n: int) -> None:
     if side > FAMILY_CAP:
         raise DimensionTooLarge(
             f"{family} --n {n} has a payoff matrix of side {at_least}{side}, "
-            f"above the family cap {FAMILY_CAP} (gen's elimination grows as the cube)"
+            f"above the family cap {FAMILY_CAP} (gen's output grows as the square)"
         )
 
 
@@ -440,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
             DimensionMismatch, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (HypothesisViolation, SymmetryViolation) as exc:
+    except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
     except (DimensionTooLarge, DepthTooLarge, SamplerStall) as exc:

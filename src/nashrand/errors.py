@@ -23,7 +23,8 @@ class DimensionTooLarge(NashrandError):
 
 
 class DepthTooLarge(NashrandError):
-    """Analysis depth exceeds the sampler's hard depth cap."""
+    """Analysis depth exceeds the sampler's hard depth cap, or n * depth
+    the analysis work cap."""
 
 
 class NoEquilibriumFound(NashrandError):
@@ -37,10 +38,6 @@ class NoEquilibriumFound(NashrandError):
 
 class UnsupportedDimension(NashrandError):
     """Family generator called outside its valid dimension range."""
-
-
-class SymmetryViolation(NashrandError):
-    """Matrix fails the claimed row/column permutation symmetry."""
 
 
 class HypothesisViolation(NashrandError):

@@ -44,6 +44,7 @@ det(M + J), with J the all-ones matrix.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Sequence
 
 
@@ -54,8 +55,9 @@ class IntMatrix:
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         # exact-size tuples: tuple() of a generator over-allocates and then
-        # shrinks, which hands the memory back to another size's free list
-        grid = tuple([tuple([*map(int, row)]) for row in rows])
+        # shrinks, which hands the memory back to another size's free list;
+        # index refuses a float or a string where int would truncate or parse
+        grid = tuple([tuple([*map(index, row)]) for row in rows])
         n = len(grid)
         for row in grid:
             if len(row) != n:

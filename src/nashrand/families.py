@@ -13,8 +13,9 @@ Two constructions carry the heavy lifting:
   occasional dips where consecutive recurrence values share a gcd.
 
 Both therefore exhibit an extreme randomness asymmetry between the two
-players.  A permutation-symmetry transform turns either family into a
-constant-sum game in which *both* players need the large denominator.
+players.  Each family's constant-sum twin (1 - B, B), whose payoffs are
+symmetric under a pair of permutations, hands the large denominator to
+*both* players.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
-from .errors import HasPureNE, HypothesisViolation, SymmetryViolation, UnsupportedDimension
-from .exact import IntMatrix, eliminate
+from .errors import HasPureNE, UnsupportedDimension
+from .exact import IntMatrix
 from .games import Game, MixedStrategy, Profile, uniform
 
 # ---------------------------------------------------------------------------
@@ -189,7 +191,7 @@ class Permutation:
     __slots__ = ("mapping",)
 
     def __init__(self, mapping: Sequence[int]):
-        images = tuple(int(v) for v in mapping)
+        images = tuple(map(index, mapping))
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError("mapping is not a bijection on 1..n")
@@ -336,27 +338,6 @@ def prime_block_ne(num_primes: int) -> tuple[Profile, int]:
     return profile, c1
 
 
-def prime_block_symmetry(num_primes: int) -> tuple[Permutation, Permutation]:
-    """A verified (pi, tau) symmetry pair for the prime-block payoffs.
-
-    pi is the forward shift cycle.  tau sends the border column to the
-    border row and twists each block by two positions -- the pair under
-    which column i of B equals the pi-permuted row tau(i).
-    """
-    primes = first_primes(num_primes)
-    sizes = [p + 1 for p in primes]
-    big_n = sum(sizes) + 1
-    pi = Permutation.forward_cycle(big_n)
-    tau = [0] * big_n
-    tau[0] = big_n
-    offset = 0
-    for m in sizes:
-        for c in range(1, m + 1):
-            tau[offset + c] = offset + (c + 1) % m + 1
-        offset += m
-    return pi, Permutation(tau)
-
-
 # ---------------------------------------------------------------------------
 # banded recurrence construction
 
@@ -414,65 +395,65 @@ def _beta_ne(n: int) -> tuple[Profile, int, RecurrenceTable]:
 
 
 # ---------------------------------------------------------------------------
-# transforms and special cases
-
-
-def is_symmetric_under(b: IntMatrix, pi: Permutation, tau: Permutation) -> bool:
-    """Whether column i of ``b`` equals the pi-permuted row tau(i) for all i."""
-    n = b.n
-    if pi.n != n or tau.n != n:
-        return False
-    rows = b.rows
-    p = [j - 1 for j in pi.mapping]
-    return all(
-        col == tuple([rows[t - 1][j] for j in p])
-        for col, t in zip(zip(*rows), tau.mapping)
-    )
-
-
-def constant_sum_transform(game: Game, pi: Permutation, tau: Permutation) -> Game:
-    """Turn a symmetric imitation game (I, B) into the constant-sum (1-B, B).
-
-    The transform preserves the unique fully mixed equilibrium strategy of
-    the row player and hands its permuted copy to the column player, so both
-    players end up needing the same (large) denominator.
-    """
-    n = game.n
-    if not game.A.is_identity():
-        raise HypothesisViolation("row player payoffs must be the identity")
-    if not is_symmetric_under(game.B, pi, tau):
-        raise SymmetryViolation("payoffs are not symmetric under (pi, tau)")
-    d, y = eliminate([list(row) for row in game.B.rows], [1] * n)
-    if not d:
-        raise HypothesisViolation("payoff matrix must be invertible")
-    if sum(y) == d:
-        raise HypothesisViolation("cofactor sum equals determinant")
-    a_rows = [[1 - v for v in row] for row in game.B.rows]
-    tag = f"constsum-{game.family_tag}" if game.family_tag else "constsum"
-    return Game(IntMatrix(a_rows), game.B, family_tag=tag, constant_sum=1)
+# constant-sum twins and special cases
 
 
 def _column_image(profile: Profile, pi: Permutation) -> Profile:
-    """The closed-form row strategy x paired with the column strategy
-    y = pi^-1 x, the equilibrium of the constant-sum transform."""
+    """The equilibrium (x, pi^-1 x) of the constant-sum twin (1 - B, B) of
+    an imitation game (I, B) with equilibrium ``profile`` = (x, uniform).
+
+    The builders below and ``cli``'s constant-sum scan rows both take the
+    twin's profile from here, so this one argument covers gen and scan.
+    Let column i of B be the pi-permuted row tau(i): B[j][i] =
+    B[tau(i)][pi(j)].  Then (B y)_tau(i) = (B^T x)_i for y = pi^-1 x, and
+    B^T x = u 1 since x makes the imitation game's column player
+    indifferent; so B y = u 1, every row of 1 - B pays 1 - u against y,
+    every column of B pays u against x, and (x, y) is an equilibrium.  With
+    det B != 0 and K(B) != det B (K the cofactor sum), det(1 - B) =
+    (-1)^n (det B - K(B)) != 0 by the determinant lemma, and (x, y) is the
+    twin's one fully mixed equilibrium.  Both families meet these
+    hypotheses by construction, so no twin is checked when it is built:
+
+    * beta, pi = tau = the reversal: the cells of ``beta_matrix(n)`` are
+      invariant under (i, j) -> (n + 1 - j, n + 1 - i), which fixes the
+      border cell (n, 1), keeps j - i and swaps the band's rows 1..n-1
+      with its columns 2..n.  |det B| = det_b(n - 1) > 0, and
+      |K(B)| = C_1 g(n) is the sum of ``beta_ne``'s positive raw
+      coordinates, the last of which is 2|b(n)| + |a(n)| = det_b(n - 1).
+    * prime blocks, pi = the forward cycle: B with its columns rotated by
+      pi is diag(J_m - S_m, ..., 1), with m = p + 1 and S_m the cyclic
+      shift (ones at i = j + 1 mod m).  B^T holds the blocks
+      J_m - S_m^-1 one row lower and the border 1 in its first row, and
+      row i of J_m - S_m^-1 is row i + 2 of J_m - S_m; so tau sends row 1
+      to row N and twists each block by two.  det B = -prod(p) and
+      K(B) = -C_1 (see ``prime_block_ne``), and C_1 > prod(p).
+
+    ``test_constant_sum_builders_match_the_checked_transform`` rebuilds both
+    twins through a transform that checks every hypothesis.
+    """
     x = profile.x
     return Profile(x, MixedStrategy(pi.inverse().apply(x.numerators), x.denominator))
 
 
+def _constant_sum_twin(b: IntMatrix, base_tag: str) -> Game:
+    """The constant-sum game (1 - B, B) of the imitation game against ``b``."""
+    a_rows = [[1 - v for v in row] for row in b.rows]
+    return Game(IntMatrix(a_rows), b, family_tag=f"constsum-{base_tag}", constant_sum=1)
+
+
 def constant_sum_beta(n: int) -> tuple[Game, Profile, int]:
-    """Constant-sum version of ``beta_game`` with its equilibrium and C."""
-    rev = Permutation.reversal(n)
-    game = constant_sum_transform(beta_game(n), rev, rev)
+    """Constant-sum twin of ``beta_game`` with its equilibrium and C."""
+    game = _constant_sum_twin(beta_matrix(n), "beta")
     profile, c1 = beta_ne(n)
-    return game, _column_image(profile, rev), c1
+    return game, _column_image(profile, Permutation.reversal(n)), c1
 
 
 def constant_sum_prime_block(num_primes: int) -> tuple[Game, Profile, int]:
-    """Constant-sum version of ``prime_block_game``."""
-    pi, tau = prime_block_symmetry(num_primes)
-    game = constant_sum_transform(prime_block_game(num_primes), pi, tau)
+    """Constant-sum twin of ``prime_block_game``."""
+    b = prime_block_matrix(num_primes)
     profile, c1 = prime_block_ne(num_primes)
-    return game, _column_image(profile, pi), c1
+    pi = Permutation.forward_cycle(b.n)
+    return _constant_sum_twin(b, "primeblock"), _column_image(profile, pi), c1
 
 
 def permutation_game(pi: Permutation, tau: Permutation) -> tuple[Game, int]:

@@ -67,11 +67,14 @@ def storage_bits(x: MixedStrategy) -> int:
 
 
 def entropy(x: MixedStrategy) -> float:
-    """Shannon entropy in bits (the only floating-point quantity here)."""
+    """Shannon entropy in bits (the only floating-point quantity here).
+
+    A probability that rounds to 0.0 adds nothing and is skipped, so an
+    outcome below the smallest float does not reach log2(0.0); and 0.0 - sum
+    turns an entropy of zero into 0.0 where a bare negation gives -0.0.
+    """
     q = x.denominator
-    return -sum(
-        p / q * math.log2(p / q) for p in x.numerators if p > 0
-    )
+    return 0.0 - sum(r * math.log2(r) for r in [p / q for p in x.numerators] if r)
 
 
 def capability_admissible(x: MixedStrategy, cap: int) -> bool:

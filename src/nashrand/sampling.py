@@ -48,6 +48,11 @@ from .errors import DepthTooLarge, SamplerStall
 from .games import MixedStrategy
 
 DEPTH_CAP = 4096
+# largest n * depth that analyze runs, one remainder step per outcome and
+# level: at the cap, n = 16384 at depth 4096 takes 4.1 s on uniform(n) and
+# 12.7 s or 15.1 s with random 64- or 300-bit numerators (shared 2-core
+# host; 0.41 s for uniform(1000) at depth 4096)
+ANALYZE_CAP = 1 << 26
 WORDS = 256                                       # 32-bit outputs per refill
 TOP_DIGIT = bytes(48 + (b >> 7) for b in range(256))  # byte -> ASCII digit of its top bit
 
@@ -164,7 +169,7 @@ def analyze(sampler: DdgSampler, depth: int) -> AnalyzeReport:
     count sums the tail over depths 0..D-1, which is
     sum_{d<D} sum_i (p_i 2^d mod q) / (q 2^d); it is accumulated in one
     integer over q 2^(D-1) and divided once.  D may not exceed DEPTH_CAP,
-    the deepest level a walk reaches.
+    the deepest level a walk reaches, nor n * D the work cap ANALYZE_CAP.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -173,6 +178,11 @@ def analyze(sampler: DdgSampler, depth: int) -> AnalyzeReport:
         raise DepthTooLarge(
             f"depth {depth} exceeds the sampler's depth cap {DEPTH_CAP} "
             f"(estimated work n*depth = {n * depth} remainder steps)"
+        )
+    if n * depth > ANALYZE_CAP:
+        raise DepthTooLarge(
+            f"estimated work n*depth = {n} * {depth} = {n * depth} remainder steps "
+            f"exceeds the analyze cap {ANALYZE_CAP}"
         )
     rem = [p % q for p in nums]
     scaled = 0

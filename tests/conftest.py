@@ -13,6 +13,7 @@ from nashrand.families import (
     Permutation,
     beta_game,
     constant_sum_beta,
+    first_primes,
     permutation_game,
     prime_block_game,
 )
@@ -287,6 +288,61 @@ def enumerate_pairs(n: int, a: Rows, b: Rows) -> SolveReport:
     c1 = min((complexity(p.x) for p in equilibria), default=None)
     c2 = min((complexity(p.y) for p in equilibria), default=None)
     return SolveReport(tuple(equilibria), c1, c2, degenerate, pairs)
+
+
+def is_symmetric_under(b: IntMatrix, pi: Permutation, tau: Permutation) -> bool:
+    """Whether column i of ``b`` equals the pi-permuted row tau(i) for all i."""
+    n = b.n
+    if pi.n != n or tau.n != n:
+        return False
+    rows = b.rows
+    p = [j - 1 for j in pi.mapping]
+    return all(
+        col == tuple([rows[t - 1][j] for j in p])
+        for col, t in zip(zip(*rows), tau.mapping)
+    )
+
+
+def prime_block_symmetry(num_primes: int) -> tuple[Permutation, Permutation]:
+    """The (pi, tau) symmetry pair of the prime-block payoffs.
+
+    pi is the forward shift cycle.  tau sends the border column to the
+    border row and twists each block by two positions -- the pair under
+    which column i of B equals the pi-permuted row tau(i).
+    """
+    sizes = [p + 1 for p in first_primes(num_primes)]
+    big_n = sum(sizes) + 1
+    pi = Permutation.forward_cycle(big_n)
+    tau = [0] * big_n
+    tau[0] = big_n
+    offset = 0
+    for m in sizes:
+        for c in range(1, m + 1):
+            tau[offset + c] = offset + (c + 1) % m + 1
+        offset += m
+    return pi, Permutation(tau)
+
+
+def constant_sum_transform(game: Game, pi: Permutation, tau: Permutation) -> Game:
+    """The constant-sum twin (1 - B, B) of a symmetric imitation game (I, B),
+    built only after every hypothesis of ``families._column_image``'s
+    argument is checked: A = I, the (pi, tau) symmetry, det B != 0 and
+    K(B) != det B (by one elimination).  A second source for
+    ``families.constant_sum_beta`` and ``constant_sum_prime_block``, which
+    build the twin without these checks."""
+    n = game.n
+    if not game.A.is_identity():
+        raise HypothesisViolation("row player payoffs must be the identity")
+    if not is_symmetric_under(game.B, pi, tau):
+        raise HypothesisViolation("payoffs are not symmetric under (pi, tau)")
+    d, y = eliminate([list(row) for row in game.B.rows], [1] * n)
+    if not d:
+        raise HypothesisViolation("payoff matrix must be invertible")
+    if sum(y) == d:
+        raise HypothesisViolation("cofactor sum equals determinant")
+    a_rows = [[1 - v for v in row] for row in game.B.rows]
+    tag = f"constsum-{game.family_tag}" if game.family_tag else "constsum"
+    return Game(IntMatrix(a_rows), game.B, family_tag=tag, constant_sum=1)
 
 
 def knuth_yao_draws(

@@ -8,7 +8,7 @@ import pytest
 from conftest import DATA, GOLDEN, X1_NUMERATORS, Y2_NUMERATORS
 from nashrand.cli import generate_family, main
 from nashrand.families import beta_ne
-from nashrand.games import complexity, is_nash
+from nashrand.games import MixedStrategy, complexity, is_nash
 from nashrand.serialize import dumps_game, dumps_profile, load_game, strategy_to_json
 
 
@@ -178,9 +178,9 @@ def test_scan_constsum_families(capsys):
 
 def test_scan_rows_build_each_input_once(monkeypatch, capsys):
     # every column of a scan row comes from a closed form: no row builds a
-    # payoff matrix or an identity, eliminates, or runs the constant-sum
-    # transform, and a beta or constant-sum beta row reads one recurrence
-    # table (exact is patched too, so an eliminate call from anywhere counts)
+    # payoff matrix or an identity, or eliminates, and a beta or constant-sum
+    # beta row reads one recurrence table (exact is patched, so an eliminate
+    # call from anywhere counts; families would count too if it imported it)
     from nashrand import exact, families
 
     counts: dict[str, int] = {}
@@ -191,11 +191,11 @@ def test_scan_rows_build_each_input_once(monkeypatch, capsys):
             return fn(*args)
         return wrapper
 
-    for name in ("recurrence_table", "beta_matrix", "prime_block_matrix",
-                 "constant_sum_transform"):
+    for name in ("recurrence_table", "beta_matrix", "prime_block_matrix"):
         monkeypatch.setattr(families, name, counted(name, getattr(families, name)))
-    for module in (exact, families):
-        monkeypatch.setattr(module, "eliminate", counted("eliminate", module.eliminate))
+    eliminate = counted("eliminate", exact.eliminate)
+    monkeypatch.setattr(exact, "eliminate", eliminate)
+    monkeypatch.setattr(families, "eliminate", eliminate, raising=False)
     monkeypatch.setattr(exact.IntMatrix, "identity",
                         counted("identity", exact.IntMatrix.identity))
     expected = {
@@ -363,6 +363,33 @@ def test_analyze_refuses_depth_beyond_cap(tmp_path, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert "depth 100000" in err and "cap 4096" in err and "800000" in err
+
+
+def test_analyze_refuses_work_beyond_cap(tmp_path, capsys):
+    # the depth is within its cap, but n * depth = 8.2e8 remainder steps
+    # would run for minutes; the refusal comes before any of them
+    dist_path = tmp_path / "uniform200000.json"
+    dist_path.write_text(json.dumps({"numerators": [1] * 200_000,
+                                     "denominator": 200_000}))
+    start = time.perf_counter()
+    rc = main(["analyze", str(dist_path), "--depth", "4096"])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "200000 * 4096 = 819200000 remainder steps" in err
+    assert f"cap {2**26}" in err
+
+
+def test_sample_and_analyze_report_entropy_of_an_underflowing_outcome(tmp_path, capsys):
+    # p = 1 / 2^1100 rounds to 0.0; entropy must skip it, not fail on log2
+    dist_path = tmp_path / "tiny.json"
+    dist_path.write_text(json.dumps(strategy_to_json(
+        MixedStrategy((1, 2**1100 - 1), 2**1100))))
+    for argv in (("sample", "--count", "10"), ("analyze", "--depth", "64")):
+        rc, out = run_cli(capsys, argv[0], str(dist_path), *argv[1:])
+        assert rc == 0
+        assert json.loads(out)["entropy_bits"] == 0.0
+        assert "-0.0" not in out
 
 
 def test_bound_command(capsys):

@@ -56,6 +56,14 @@ def test_det_empty_matrix_is_one():
     assert det(IntMatrix(())) == 1
 
 
+def test_int_matrix_refuses_floats_and_strings():
+    # int() would truncate 1.5 to 1 and parse '7'; the entries must be ints
+    for rows in ([[1.5, 2], [3, 4.9]], [["7", 1], [0, 1]], [[1.0]]):
+        with pytest.raises(TypeError):
+            IntMatrix(rows)
+    assert IntMatrix([[True, 0], [0, 2**70]]).rows == ((1, 0), (0, 2**70))
+
+
 def test_det_block_matrix_six():
     assert det(IntMatrix(block_reference(5))) == 5
 

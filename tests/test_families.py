@@ -10,13 +10,15 @@ from conftest import (
     Y2_NUMERATORS,
     banded_reference,
     block_reference,
+    constant_sum_transform,
+    is_symmetric_under,
     mat_vec,
     pad_game,
+    prime_block_symmetry,
 )
 from nashrand.errors import (
     HasPureNE,
     HypothesisViolation,
-    SymmetryViolation,
     UnsupportedDimension,
 )
 from nashrand.exact import IntMatrix, cofactor_sum, det
@@ -32,13 +34,10 @@ from nashrand.families import (
     beta_ne,
     constant_sum_beta,
     constant_sum_prime_block,
-    constant_sum_transform,
     first_primes,
-    is_symmetric_under,
     permutation_game,
     prime_block_game,
     prime_block_ne,
-    prime_block_symmetry,
     recurrence_constants,
     recurrence_table,
     two_by_two_complexities,
@@ -503,7 +502,7 @@ def test_constant_sum_transform_rejects_bad_input():
         constant_sum_transform(
             Game(beta_matrix(8), beta_matrix(8)), rev, rev
         )
-    with pytest.raises(SymmetryViolation):
+    with pytest.raises(HypothesisViolation, match="not symmetric"):
         constant_sum_transform(
             beta_game(8), Permutation.identity(8), Permutation.identity(8)
         )
@@ -514,6 +513,39 @@ def test_constant_sum_transform_rejects_bad_input():
     sum_equals_det = Game(IntMatrix.identity(2), IntMatrix([[2, 0], [0, 2]]))
     with pytest.raises(HypothesisViolation):
         constant_sum_transform(sum_equals_det, ident2, ident2)
+
+
+def test_constant_sum_builders_match_the_checked_transform():
+    # the builders construct (1 - B, B) without checking the transform's
+    # hypotheses; the conftest transform checks them all and must give the
+    # same game from n = 8 up to the family cap 500
+    for n in [*range(8, 40), *range(40, 501, 23)]:
+        rev = Permutation.reversal(n)
+        assert constant_sum_beta(n)[0] == constant_sum_transform(beta_game(n), rev, rev), n
+    for k in range(1, 18):
+        twin = constant_sum_transform(prime_block_game(k), *prime_block_symmetry(k))
+        assert constant_sum_prime_block(k)[0] == twin, k
+
+
+def test_constant_sum_builders_run_no_elimination(monkeypatch):
+    # the builders' hypotheses are proved (families._column_image), not
+    # checked: no eliminate runs, and families does not import it at all
+    from nashrand import exact, families
+
+    assert not hasattr(families, "eliminate")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact.eliminate(*args)
+
+    monkeypatch.setattr(exact, "eliminate", counted)
+    monkeypatch.setattr(families, "eliminate", counted, raising=False)
+    for n in (8, 9, 151):
+        constant_sum_beta(n)
+    for k in (1, 2, 12):
+        constant_sum_prime_block(k)
+    assert calls == []
 
 
 def test_pad_game_shape_and_tags():
@@ -549,6 +581,13 @@ def test_permutation_cycles_and_inverse():
             Permutation.from_cycles(3, [(1, bad)])
     with pytest.raises(ValueError):
         Permutation.from_cycles(3, [(3, 0)])
+
+
+def test_permutation_refuses_floats_and_strings():
+    # int() would truncate [1.9, 2.2] to the bijection (1, 2)
+    for mapping in ([1.9, 2.2], ["1", "2"], [1.0]):
+        with pytest.raises(TypeError):
+            Permutation(mapping)
 
 
 def test_permutation_matrix_convention():

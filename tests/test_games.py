@@ -119,6 +119,18 @@ def test_entropy_of_uniform_matches_log():
         assert entropy(uniform(n)) == pytest.approx(math.log2(n), abs=1e-12)
 
 
+def test_entropy_skips_probabilities_below_the_smallest_float():
+    # 1 / 2^1100 rounds to 0.0, where log2 raised a math domain error
+    h = entropy(MixedStrategy((1, 2**1100 - 1), 2**1100))
+    assert math.isfinite(h) and h >= 0.0
+    # an entropy of zero is +0.0, never -0.0
+    for x in (MixedStrategy((1,), 1), MixedStrategy((0, 1, 0), 1)):
+        assert math.copysign(1.0, entropy(x)) == 1.0
+    # skipping an underflowed outcome leaves the others' terms as they were
+    tiny = MixedStrategy((1, 2**1100 - 1, 2**1100), 2**1101)
+    assert entropy(tiny) == entropy(MixedStrategy((1, 1), 2))
+
+
 def test_is_nash_accepts_the_known_equilibrium():
     game = beta_game(8)
     profile, _ = beta_ne(8)
