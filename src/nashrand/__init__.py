@@ -31,6 +31,7 @@ from .families import (
     beta_game,
     beta_matrix,
     beta_ne,
+    closed_form,
     constant_sum_beta,
     constant_sum_prime_block,
     first_primes,

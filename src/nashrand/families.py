@@ -228,13 +228,16 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
-        mapping = list(range(1, n + 1))
+        """The product of disjoint cycles; an entry that appears twice raises."""
+        mapping = [0] * n  # 0 until an entry's image is set
         for cycle in cycles:
             for pos, i in enumerate(cycle):
                 if not 1 <= i <= n:
                     raise ValueError(f"cycle entry {i} is outside 1..{n}")
+                if mapping[i - 1]:
+                    raise ValueError(f"cycle entry {i} appears twice")
                 mapping[i - 1] = cycle[(pos + 1) % len(cycle)]
-        return cls(mapping)
+        return cls([img or i for i, img in enumerate(mapping, start=1)])
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -323,6 +326,11 @@ def prime_block_ne(num_primes: int) -> tuple[Profile, int]:
     signs against the Bareiss kernel for n = 1..17, every n the family cap
     admits.
     """
+    return closed_form("primeblock", num_primes)[:2]
+
+
+def _prime_block_form(num_primes: int) -> tuple:
+    """``prime_block_ne``'s row: |det B| = prod(p), |K(B)| = C_1, no g_n."""
     if num_primes < 1:
         raise UnsupportedDimension("need at least one prime block")
     primes = first_primes(num_primes)
@@ -334,8 +342,7 @@ def prime_block_ne(num_primes: int) -> tuple[Profile, int]:
         numerators.extend([prod // p] * (p + 1))
     numerators.append(prod)
     x = MixedStrategy(tuple(numerators), c1)
-    profile = Profile(x, uniform(len(numerators)))
-    return profile, c1
+    return Profile(x, uniform(len(numerators))), c1, None, prod, c1
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +373,11 @@ def beta_ne(n: int) -> tuple[Profile, int]:
     ``test_family_matrices_match_closed_forms_up_to_n_400`` and
     ``test_beta_complexity_equals_cofactor_sum_over_gcd``.
     """
-    profile, c1, _ = _beta_ne(n)
-    return profile, c1
+    return closed_form("beta", n)[:2]
 
 
-def _beta_ne(n: int) -> tuple[Profile, int, RecurrenceTable]:
-    """``beta_ne(n)`` and the recurrence table it reads, so that a caller
-    needs no second one.  O(n) big-integer work past the table."""
+def _beta_form(n: int) -> tuple:
+    """``beta_ne``'s row from one recurrence table (see ``_column_image``)."""
     if n < 8:
         raise UnsupportedDimension("closed form restricted to n >= 8")
     t = recurrence_table(n)
@@ -391,7 +396,8 @@ def _beta_ne(n: int) -> tuple[Profile, int, RecurrenceTable]:
         raise AssertionError("closed-form coordinates must be positive")
     g = math.gcd(*raw)
     x = MixedStrategy(tuple([v // g for v in raw]), sum(raw) // g)
-    return Profile(x, uniform(n)), x.denominator, t
+    c1, gn = x.denominator, t.g(n)
+    return Profile(x, uniform(n)), c1, gn, t.det_b(n - 1), c1 * gn
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +408,7 @@ def _column_image(profile: Profile, pi: Permutation) -> Profile:
     """The equilibrium (x, pi^-1 x) of the constant-sum twin (1 - B, B) of
     an imitation game (I, B) with equilibrium ``profile`` = (x, uniform).
 
-    The builders below and ``cli``'s constant-sum scan rows both take the
-    twin's profile from here, so this one argument covers gen and scan.
+    ``closed_form`` takes every twin's profile from here, for gen and scan.
     Let column i of B be the pi-permuted row tau(i): B[j][i] =
     B[tau(i)][pi(j)].  Then (B y)_tau(i) = (B^T x)_i for y = pi^-1 x, and
     B^T x = u 1 since x makes the imitation game's column player
@@ -435,25 +440,41 @@ def _column_image(profile: Profile, pi: Permutation) -> Profile:
     return Profile(x, MixedStrategy(pi.inverse().apply(x.numerators), x.denominator))
 
 
-def _constant_sum_twin(b: IntMatrix, base_tag: str) -> Game:
-    """The constant-sum game (1 - B, B) of the imitation game against ``b``."""
-    a_rows = [[1 - v for v in row] for row in b.rows]
-    return Game(IntMatrix(a_rows), b, family_tag=f"constsum-{base_tag}", constant_sum=1)
+# each base family's closed-form row, its B and its twin's pi, as argued above
+_FAMILIES = {
+    "beta": (_beta_form, beta_matrix, Permutation.reversal),
+    "primeblock": (_prime_block_form, prime_block_matrix, Permutation.forward_cycle),
+}
+
+
+def closed_form(family: str, n: int) -> tuple[Profile, int, int | None, int, int]:
+    """Closed-form (profile, C_1, g_n, |det B|, |K(B)|) of ``family`` at n, no
+    matrix built: ``beta``, ``primeblock`` (g_n None), or a twin ``constsum-*``,
+    which keeps B, so every value but the profile is its base family's."""
+    base = family.removeprefix("constsum-")
+    form, _, pi_of = _FAMILIES[base]
+    row = form(n)
+    if base != family:
+        row = (_column_image(row[0], pi_of(row[0].x.n)), *row[1:])
+    return row
+
+
+def _twin(base: str, n: int) -> tuple[Game, Profile, int]:
+    """The constant-sum twin (1 - B, B) of a base family, its equilibrium and C."""
+    b = _FAMILIES[base][1](n)
+    profile, c1, *_ = closed_form(f"constsum-{base}", n)
+    a = IntMatrix([[1 - v for v in row] for row in b.rows])
+    return Game(a, b, family_tag=f"constsum-{base}", constant_sum=1), profile, c1
 
 
 def constant_sum_beta(n: int) -> tuple[Game, Profile, int]:
     """Constant-sum twin of ``beta_game`` with its equilibrium and C."""
-    game = _constant_sum_twin(beta_matrix(n), "beta")
-    profile, c1 = beta_ne(n)
-    return game, _column_image(profile, Permutation.reversal(n)), c1
+    return _twin("beta", n)
 
 
 def constant_sum_prime_block(num_primes: int) -> tuple[Game, Profile, int]:
     """Constant-sum twin of ``prime_block_game``."""
-    b = prime_block_matrix(num_primes)
-    profile, c1 = prime_block_ne(num_primes)
-    pi = Permutation.forward_cycle(b.n)
-    return _constant_sum_twin(b, "primeblock"), _column_image(profile, pi), c1
+    return _twin("primeblock", num_primes)
 
 
 def permutation_game(pi: Permutation, tau: Permutation) -> tuple[Game, int]:

@@ -96,6 +96,8 @@ class Game:
     def __post_init__(self):
         if self.A.n != self.B.n:
             raise DimensionMismatch("payoff matrices differ in size")
+        if not self.A.n:
+            raise ValueError("a game needs at least one strategy per player")
         if self.constant_sum is not None:
             u = self.constant_sum
             for ra, rb in zip(self.A.rows, self.B.rows):

@@ -214,7 +214,7 @@ def test_scan_rows_build_each_input_once(monkeypatch, capsys):
 def test_scan_closed_form_matches_enumeration(capsys):
     from nashrand import cli
     from nashrand.exact import eliminate
-    from nashrand.families import constant_sum_beta, constant_sum_prime_block
+    from nashrand.families import closed_form, constant_sum_beta, constant_sum_prime_block
     from nashrand.solving import support_enumeration
 
     for family, params in (("beta", range(8, 15)), ("constsum-beta", range(8, 15)),
@@ -235,7 +235,7 @@ def test_scan_closed_form_matches_enumeration(capsys):
                              ("constsum-primeblock", 17, constant_sum_prime_block)):
         game, profile, c1 = build(k)
         row = cli._scan_row(family, k)
-        scanned = cli._SCAN_FORMS[family](k)[0]
+        scanned = closed_form(family, k)[0]
         assert scanned == profile
         assert (row["n"], row["c1"], row["c2"]) == (game.n, c1, complexity(profile.y))
         d, y = eliminate([list(r) for r in game.B.rows], [1] * game.n)
@@ -400,6 +400,32 @@ def test_bound_command(capsys):
     rc, out = run_cli(capsys, "bound", str(GOLDEN / "example1.json"))
     payload = json.loads(out)
     assert int(payload["bound_c1"]) >= 34
+
+
+def test_bound_writes_bounds_past_the_digit_limit(tmp_path, capsys):
+    # the bound of a valid 400x400 game with payoffs in +-10^9 has about
+    # 4,800 digits, past the 4,300 that str() of an int allows by default
+    import random
+
+    from nashrand.solving import complexity_upper_bound
+
+    rng = random.Random(400)
+    n, m = 400, 10**9
+    a, b = ([[rng.randint(-m, m) for _ in range(n)] for _ in range(n)] for _ in "AB")
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n, "A": a, "B": b}))
+    rc, out = run_cli(capsys, "bound", str(path))
+    assert rc == 0
+    payload = json.loads(out)
+    expected = complexity_upper_bound(load_game(str(path)))
+    for key, value in zip(("bound_c1", "bound_c2"), expected):
+        digits = payload[key]
+        assert len(digits) > 4300 and digits[0] != "0"
+        parsed = 0  # int() of the whole string would hit the same limit
+        for start in range(0, len(digits), 1000):
+            part = digits[start:start + 1000]
+            parsed = parsed * 10 ** len(part) + int(part)
+        assert parsed == value
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

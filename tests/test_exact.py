@@ -88,6 +88,10 @@ DEFERRED_CASES = (
     ((2, 1, 0), (0, 3, 1), (1, 1, 1)),
     ((2, 0, 1), (0, 0, 1), (0, 3, 0)),
 )
+# Step 0 cancels the tail of the second row to (0, 1, 0, 0), so the pivot
+# of step 1 has trailing zeros its input row did not have, and it updates
+# the third row, which ends one column past it.
+CANCELLING_CASE = ((1, 2, 3, 4), (1, 3, 3, 4), (0, 1, 2, 0), (1, 0, 0, 5))
 
 
 def _random_rows(rng: random.Random, n: int, density: float) -> list[list[int]]:
@@ -100,8 +104,8 @@ def _random_rows(rng: random.Random, n: int, density: float) -> list[list[int]]:
 def _kernel_cases(rng: random.Random) -> list[IntMatrix]:
     """Matrices up to 8x8: dense and sparse, upper triangular with shuffled
     rows (zero leads that force row swaps and deferred rescaling), singular
-    ones (a row that is a multiple of another), and the row-extent shapes
-    of ``_extent_cases``."""
+    ones (a row that is a multiple of another), the row-extent shapes of
+    ``_extent_cases`` and ``CANCELLING_CASE``."""
     cases = [IntMatrix(rows) for rows in DEFERRED_CASES]
     for _ in range(200):
         n = rng.randint(1, 7)
@@ -116,7 +120,7 @@ def _kernel_cases(rng: random.Random) -> list[IntMatrix]:
             rows[i] = [2 * v for v in rows[j]]
         cases.append(IntMatrix(rows))
     # a stream of its own, so the cases above and their rhs draws stay put
-    return cases + _extent_cases(random.Random(1968))
+    return cases + _extent_cases(random.Random(1968)) + [IntMatrix(CANCELLING_CASE)]
 
 
 def _entry(rng: random.Random) -> int:

@@ -581,6 +581,11 @@ def test_permutation_cycles_and_inverse():
             Permutation.from_cycles(3, [(1, bad)])
     with pytest.raises(ValueError):
         Permutation.from_cycles(3, [(3, 0)])
+    # overlapping cycles are refused, not resolved by the last write
+    for cycles in ([(1, 2), (1, 2)], [(1, 2, 3), (3, 2, 1)], [(1, 2, 1)], [(2, 3), (1, 3)],
+                   [(2,), (2, 3)]):
+        with pytest.raises(ValueError, match="appears twice"):
+            Permutation.from_cycles(3, cycles)
 
 
 def test_permutation_refuses_floats_and_strings():

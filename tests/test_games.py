@@ -217,3 +217,12 @@ def test_game_constant_sum_validation():
     assert game.constant_sum == 1
     with pytest.raises(ValueError):
         Game(ones_minus, ones_minus, constant_sum=1)
+
+
+def test_game_refuses_zero_strategies():
+    # a 0x0 game has no equilibrium and no complexity: parse_game refuses
+    # n < 1, and so does the constructor
+    empty = IntMatrix([])
+    with pytest.raises(ValueError, match="at least one strategy"):
+        Game(empty, empty)
+    Game(IntMatrix([[0]]), IntMatrix([[0]]))

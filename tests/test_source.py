@@ -110,3 +110,29 @@ def _references(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name.rpartition(".")[2] for alias in node.names)
     return names
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A private name belongs to its module: no library module reads
+    # ``module._name`` of another or imports ``_name`` from one.  Dunders
+    # such as ``__version__`` are public by convention.
+    modules = {path.stem for path in SOURCES}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if any(map(_is_private, _names_read_from_modules(node, modules)))
+    ]
+    assert found == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _names_read_from_modules(node: ast.AST, modules: set[str]) -> list[str]:
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return [node.attr] if node.value.id in modules else []
+    if isinstance(node, ast.ImportFrom) and node.level:
+        return [alias.name for alias in node.names]
+    return []
