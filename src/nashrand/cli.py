@@ -37,6 +37,7 @@ from .games import (
 )
 from .sampling import BitSource, DdgSampler, analyze
 from .serialize import (
+    decimal_str,
     dumps_game,
     load_distribution,
     load_game,
@@ -77,6 +78,10 @@ SAMPLE_CAP = 10**8
 # games, and writes 1.5 MB and 1.3 MB of JSON; a scan row takes 0.2 to 2 ms
 # (shared 2-core host)
 FAMILY_CAP = 500
+# most digits `bound` writes per bound; the bound has about n * log10(M)
+# digits for largest |payoff| M, and at the cap computing and writing the
+# two bounds take about 0.6 s (shared 2-core host)
+BOUND_CAP = 100_000
 MAX_N_ENV = "NASHRAND_MAX_N"
 
 
@@ -149,15 +154,15 @@ def _solve_jsonable(game: Game, max_n: int | None) -> dict:
             {
                 "x": strategy_to_json(p.x),
                 "y": strategy_to_json(p.y),
-                "complexity_x": str(complexity(p.x)),
-                "complexity_y": str(complexity(p.y)),
+                "complexity_x": decimal_str(complexity(p.x)),
+                "complexity_y": decimal_str(complexity(p.y)),
                 "support_x": list(p.x.support()),
                 "support_y": list(p.y.support()),
             }
             for p in report.equilibria
         ],
-        "c1_min": None if report.c1_min is None else str(report.c1_min),
-        "c2_min": None if report.c2_min is None else str(report.c2_min),
+        "c1_min": None if report.c1_min is None else decimal_str(report.c1_min),
+        "c2_min": None if report.c2_min is None else decimal_str(report.c2_min),
         "degenerate": report.degenerate_flag,
         "enumerated_supports": report.enumerated_supports,
     }
@@ -207,8 +212,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     nash = is_nash(game, profile)
     payload: dict = {
         "nash": nash,
-        "complexity_x": str(complexity(profile.x)),
-        "complexity_y": str(complexity(profile.y)),
+        "complexity_x": decimal_str(complexity(profile.x)),
+        "complexity_y": decimal_str(complexity(profile.y)),
         "storage_bits_x": storage_bits(profile.x),
         "storage_bits_y": storage_bits(profile.y),
     }
@@ -307,23 +312,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _decimal(v: int) -> str:
-    """str(v) for v >= 0 in 512-digit chunks: str() refuses an int past the
-    digit limit (4,300 by default, never below 640) that guards parsing."""
-    chunk, chunks = 10**512, []
-    while v >= chunk:
-        v, low = divmod(v, chunk)
-        chunks.append(f"{low:0512d}")
-    return str(v) + "".join(reversed(chunks))
-
-
 def cmd_bound(args: argparse.Namespace) -> int:
     game = load_game(args.game)
+    n, m = game.n, max(1, game.A.max_abs(), game.B.max_abs())
+    # complexity_upper_bound's n(n+1) * ceil(M^n (2n+1)^(n+1/2)), in digits
+    digits = math.floor(n * math.log10(m) + (n + 0.5) * math.log10(2 * n + 1)
+                        + math.log10(n * (n + 1))) + 1
+    if digits > BOUND_CAP:
+        raise DimensionTooLarge(
+            f"the bounds of this {n}x{n} game have an estimated {digits} digits, "
+            f"above the bound cap {BOUND_CAP}")
     b1, b2 = complexity_upper_bound(game)
     payload: dict = {
-        "n": game.n,
-        "bound_c1": _decimal(b1),
-        "bound_c2": _decimal(b2),
+        "n": n,
+        "bound_c1": decimal_str(b1),
+        "bound_c2": decimal_str(b2),
         "measured_c1": None,
         "measured_c2": None,
     }
@@ -331,8 +334,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     try:
         report = support_enumeration(game, max_n)
         if report.c1_min is not None:
-            payload["measured_c1"] = str(report.c1_min)
-            payload["measured_c2"] = str(report.c2_min)
+            payload["measured_c1"] = decimal_str(report.c1_min)
+            payload["measured_c2"] = decimal_str(report.c2_min)
     except DimensionTooLarge:
         pass
     _write(json.dumps(payload, indent=2) + "\n", args.out)

@@ -5,11 +5,21 @@ Everything that can grow -- numerators, denominators, complexity values --
 travels as decimal strings so downstream consumers cannot silently round.
 The game writer is deliberately byte-stable: one matrix row per line,
 fixed key order, trailing newline.  Golden files depend on that.
+
+An equilibrium can have denominators past the interpreter's int/string
+digit limit (4,300 by default), so every integer computed from a game is
+written by ``decimal_str``; ``str()`` stays only where a cap or the parser
+bounds the value (scan and recurrence rows, sampler reports, parsed
+payoffs, counts and indices).  The reader keeps the limit, which keeps
+parsing and a distribution's gcd check linear in file size, and its
+refusal names ``PYTHONINTMAXSTRDIGITS``, the variable that lifts it.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from typing import Any
 
 from .errors import NotADistribution, ParseError
@@ -34,6 +44,28 @@ def dumps_game(game: Game) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CHUNK_DIGITS = 512  # below the least digit limit the interpreter allows (640)
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def decimal_str(v: int) -> str:
+    """``str(v)`` for an int v >= 0 of any length, in 512-digit chunks."""
+    if v < _CHUNK:  # most values; a third of the cost of the loop below
+        return str(v)
+    chunks = []
+    while v >= _CHUNK:
+        v, low = divmod(v, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return str(v) + "".join(reversed(chunks))
+
+
+def _too_long(where: str, digits: int) -> ParseError:
+    return ParseError(
+        f"{where}: a number of {digits} digits exceeds the interpreter's limit of "
+        f"{sys.get_int_max_str_digits()}; set PYTHONINTMAXSTRDIGITS to a larger "
+        "limit, or to 0 for none, to read it")
+
+
 def _loads(text: str) -> Any:
     try:
         return json.loads(text)
@@ -41,6 +73,14 @@ def _loads(text: str) -> Any:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal past the digit limit
+        limit = sys.get_int_max_str_digits()
+        run = limit and re.search(rf"(?<![\d.])\d{{{limit + 1},}}(?![\d.eE])", text)
+        if not run:
+            raise ParseError(str(exc)) from None
+        line = text.count("\n", 0, run.start()) + 1
+        column = run.start() - text.rfind("\n", 0, run.start())
+        raise _too_long(f"line {line}, column {column}", len(run[0])) from None
 
 
 def _is_int(v: Any) -> bool:
@@ -51,8 +91,8 @@ def _is_int(v: Any) -> bool:
 def strategy_to_json(x: MixedStrategy) -> dict:
     """Big integers travel as decimal strings so no consumer rounds them."""
     return {
-        "numerators": [str(p) for p in x.numerators],
-        "denominator": str(x.denominator),
+        "numerators": [decimal_str(p) for p in x.numerators],
+        "denominator": decimal_str(x.denominator),
     }
 
 
@@ -66,6 +106,9 @@ def _big_int(v: Any, field: str) -> int:
     try:
         return int(v)
     except ValueError as exc:
+        body = v.strip().replace("_", "").removeprefix("-").removeprefix("+")
+        if body.isdecimal() and 0 < sys.get_int_max_str_digits() < len(body):
+            raise _too_long(f"field {field!r}", len(body)) from None
         raise ParseError(f"field {field!r}: {exc}") from None
 
 

@@ -1,15 +1,27 @@
 import json
+import os
+import random
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import nashrand
 from conftest import DATA, GOLDEN, X1_NUMERATORS, Y2_NUMERATORS
 from nashrand.cli import generate_family, main
 from nashrand.families import beta_ne
 from nashrand.games import MixedStrategy, complexity, is_nash
-from nashrand.serialize import dumps_game, dumps_profile, load_game, strategy_to_json
+from nashrand.serialize import (
+    decimal_str,
+    dumps_game,
+    dumps_profile,
+    load_game,
+    strategy_to_json,
+)
+from nashrand.solving import complexity_upper_bound, support_enumeration
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -426,6 +438,114 @@ def test_bound_writes_bounds_past_the_digit_limit(tmp_path, capsys):
             part = digits[start:start + 1000]
             parsed = parsed * 10 ** len(part) + int(part)
         assert parsed == value
+
+
+def test_bound_refuses_a_bound_beyond_cap(tmp_path, capsys):
+    # one payoff of 4,299 nines: computing and writing the bounds would take
+    # about 20 s for 860k digits each, 200 * 4299 + 200.5 * log10(401)
+    # + log10(200 * 201) = 860326.5, so the estimate is 860327 digits
+    n = 200
+    a = [[0] * n for _ in range(n)]
+    a[0][0] = int("9" * 4299)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": n, "A": a, "B": [[0] * n for _ in range(n)]}))
+    start = time.perf_counter()
+    rc = main(["bound", str(path)])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "estimated 860327 digits" in err and "cap 100000" in err
+
+
+def test_decimal_str_matches_decimal():
+    # libmpdec converts ints exactly and ignores the interpreter's digit
+    # limit; the cases sit at the 512-digit chunk edges, and 10^1024 + 5 has
+    # an all-zero middle chunk
+    for v in (0, 1, 10**511, 10**512 - 1, 10**512, 10**512 + 1, 10**1024 + 5, 3**20000):
+        assert decimal_str(v) == str(Decimal(v))
+
+
+def _large_payoff_game(path) -> None:
+    """Rock-paper-scissors times 10^3000 plus noise: payoffs of 3,001 digits
+    parse, while the unique equilibrium's denominators have about 6,000."""
+    rng = random.Random(21)
+    rps = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
+    a, b = ([[s * r * 10**3000 + rng.randint(1, 10**50) for r in row] for row in rps]
+            for s in (1, -1))
+    path.write_text(json.dumps({"n": 3, "A": a, "B": b}))
+
+
+def test_solve_and_bound_write_numbers_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "large.json"
+    _large_payoff_game(path)
+    game = load_game(str(path))
+    report = support_enumeration(game)
+    (eq,) = report.equilibria
+
+    def dec(v: int) -> str:
+        return str(Decimal(v))
+
+    assert len(dec(report.c1_min)) > 4300
+
+    rc, out = run_cli(capsys, "solve", str(path))
+    assert rc == 0
+    payload = json.loads(out)
+    assert (payload["c1_min"], payload["c2_min"]) == (dec(report.c1_min), dec(report.c2_min))
+    (row,) = payload["equilibria"]
+    for key, x in (("x", eq.x), ("y", eq.y)):
+        assert row[key] == {"numerators": [dec(p) for p in x.numerators],
+                            "denominator": dec(x.denominator)}
+        assert row[f"complexity_{key}"] == dec(x.denominator)
+
+    rc, out = run_cli(capsys, "solve", str(path), "--format", "csv")
+    assert rc == 0
+    assert out.splitlines()[1] == ",".join([
+        "1", dec(eq.x.denominator), dec(eq.y.denominator),
+        " ".join(map(dec, eq.x.numerators)), dec(eq.x.denominator),
+        " ".join(map(dec, eq.y.numerators)), dec(eq.y.denominator)])
+
+    rc, out = run_cli(capsys, "bound", str(path))
+    assert rc == 0
+    payload = json.loads(out)
+    expected = (*complexity_upper_bound(game), report.c1_min, report.c2_min)
+    assert [payload[k] for k in ("bound_c1", "bound_c2", "measured_c1", "measured_c2")] == [
+        dec(v) for v in expected]
+
+
+def test_verify_reads_a_long_profile_only_when_the_limit_is_lifted(tmp_path, capsys):
+    game_path, profile_path = tmp_path / "large.json", tmp_path / "profile.json"
+    _large_payoff_game(game_path)
+    rc, out = run_cli(capsys, "solve", str(game_path))
+    assert rc == 0
+    solved = json.loads(out)
+    (eq,) = solved["equilibria"]
+    profile_path.write_text(json.dumps({"x": eq["x"], "y": eq["y"]}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    src = str(Path(nashrand.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "nashrand.cli", "verify", str(game_path), str(profile_path)]
+
+    result = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1
+    assert "field 'numerators'" in result.stderr and "limit of 4300" in result.stderr
+    assert "PYTHONINTMAXSTRDIGITS" in result.stderr
+    assert "sys.set_int_max_str_digits" not in result.stderr
+
+    result = subprocess.run(argv, capture_output=True, text=True,
+                            env={**env, "PYTHONINTMAXSTRDIGITS": "0"})
+    assert result.returncode == 0
+    verified = json.loads(result.stdout)
+    assert verified["nash"] is True
+    assert verified["complexity_x"] == solved["c1_min"]
+
+
+def test_number_past_the_digit_limit_in_a_game_exits_two(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"n": 1,\n "A": [[1]], "B": [[' + "7" * 5000 + "]]}")
+    err = _rejects(capsys, "solve", str(path))
+    assert "line 2, column 21" in err and "5000 digits" in err
+    assert "limit of 4300" in err and "PYTHONINTMAXSTRDIGITS" in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
