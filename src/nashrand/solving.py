@@ -1,19 +1,44 @@
 r"""Equilibrium computation by exact support enumeration.
 
 One loop runs over pairs of equal-size supports (I, J).  For each pair the
-two indifference systems are solved exactly by ``_indifferent``, once per
-player side:
+two indifference systems are solved exactly, once per player side:
 
     sum_{j in J} A_{ i j } y_j = v   for i in I,   sum y_j = 1
     sum_{i in I} x_i B_{ i j } = u   for j in J,   sum x_i = 1
 
 The column player's y comes from (A, I, J), the row player's x from
-(B^T, J, I).  A candidate is accepted when both solutions are strictly
-positive on their nominal supports and no off-support pure strategy beats
-the support payoff.  Equal-size supports capture every equilibrium of a
-nondegenerate game; a degeneracy flag is raised whenever evidence to the
-contrary shows up (an off-support pure strategy tied with the support
-payoff, or a solved support coordinate landing on zero).
+(B^T, J, I); in the loop each side is one ``_Side``.  A candidate is
+accepted when both solutions are strictly positive on their nominal
+supports and no off-support pure strategy beats the support payoff.
+Equal-size supports capture every equilibrium of a nondegenerate game; a
+degeneracy flag is raised whenever evidence to the contrary shows up (an
+off-support pure strategy tied with the support payoff, or a solved
+support coordinate landing on zero).
+
+A side solves k x k systems, not the bordered (k + 1) x (k + 1) ones, and
+each distinct system once.  Write m for the side's matrix, R for the k
+rows of m[I][J] and r0 for one of them.
+
+    The k x k reduction.  Subtracting row r0 of the bordered system
+        [R -1; 1^T 0] from every other row of R leaves rows
+        (m[r][J] - r0, 0) for r != r0, row (r0, -1) and the row (1^T, 0).
+        Expanding along the last column, whose one nonzero is the -1 of
+        row r0, gives det[R -1; 1^T 0] = +-det D, where D is the k x k
+        matrix of the rows m[r][J] - r0 and 1^T.  So the two systems are
+        singular together.  Otherwise both have the one solution z with
+        D z = e_k, where e_k is the unit vector on the ones row, and the
+        value is v = r0 . z.  ``eliminate`` returns d = det and d z, so
+        once d is made positive, z's integers and d equal the bordered
+        solve's.
+    The order-free key.  Permuting the rows of R permutes the rows of
+        the bordered system, which changes only the sign of its
+        determinant, and that sign is made positive.  So (d, d z, d v)
+        depends on the multiset of the rows of R alone, and a side keeps
+        each solved system under the sorted tuple of those rows: I and J
+        as indices do not enter, so supports that restrict to the same
+        rows (repeated rows or columns, entries from a small set) share
+        one solve.  Which rows lie off the support does depend on I, so
+        the off-support check runs on every pair.
 
 Before a pair is solved, it is skipped when strict conditional dominance
 (Porter, Nudelman and Shoham, "Simple search methods for finding a Nash
@@ -25,15 +50,15 @@ equilibrium", GEB 2008) rules it out:
         another column of B.
 
 The skip is exact.  Take such a row i and its beating row o.  Against any
-y >= 0 on J with sum 1, row o pays strictly more than row i.  So
-``_indifferent(A, I, J, ...)`` returns None: if o is off I it pays more
-than the support payoff, and if o is in I the system asks o and i to pay
-the same, so it is singular or its solution has a negative coordinate.
-The column case is the same argument on (B^T, J, I).  A pair with a None
-side never touches ``equilibria``, their order, the minima or the
-degeneracy flag, so every report is the one the full loop gives.  The
-test must be strict: a weakly beaten row can still tie, and ties and zero
-coordinates raise the flag.
+y >= 0 on J with sum 1, row o pays strictly more than row i.  So the y
+side returns None on (I, J): if o is off I it pays more than the support
+payoff, and if o is in I the system asks o and i to pay the same, so it
+is singular or its solution has a negative coordinate.  The column case
+is the same argument on (B^T, J, I).  A pair with a None side never
+touches ``equilibria``, their order, the minima or the degeneracy flag,
+so every report is the one the full loop gives.  The test must be
+strict: a weakly beaten row can still tie, and ties and zero coordinates
+raise the flag.
 
 Each side has one table per game, ``_beaten``: for every mask of columns,
 the mask of rows beaten on all of them.  It holds 2^n ints (1,024, about
@@ -81,7 +106,7 @@ report, and the loop is skipped:
 Otherwise (a singular system, a negative or zero coordinate) the loop runs
 unchanged.  Imitation games (I, J - I) are constant-sum too, and keep
 their own path.  ``fully_mixed_ne`` is the same last pair, solved by the
-same helper on any game.
+same ``_full_support`` on any game.
 
 Enumeration order is ascending support size, then lexicographic supports,
 which makes reports deterministic.
@@ -93,6 +118,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Iterable
 
 from .errors import DimensionTooLarge, NoEquilibriumFound
@@ -170,11 +196,11 @@ def _enumerate(game: Game) -> SolveReport:
     # pairs that strict conditional dominance rules out are skipped
     a_beaten = None if imitation else _beaten(a)
     b_beaten = _beaten(bt)
+    solve_y, solve_x = _Side(a).solve, _Side(bt).solve
     equilibria: list[Profile] = []
     degenerate = False
     for k in range(1, n + 1):
         masks = {S: _mask(S) for S in combinations(range(n), k)}
-        rhs = [0] * k + [1]
         uniform_y = (k, [1] * k, False)
         for I, i_mask in masks.items():
             dead = b_beaten[i_mask]
@@ -187,10 +213,10 @@ def _enumerate(game: Game) -> SolveReport:
                     if not a_beaten[masks[J]] & i_mask
                 ]
             for J in pairs:
-                y = uniform_y if imitation else _indifferent(a, I, J, rhs)
+                y = uniform_y if imitation else solve_y(I, J)
                 if y is None:
                     continue
-                x = _indifferent(bt, J, I, rhs)
+                x = solve_x(J, I)
                 if x is None:
                     continue
                 (dy, yv, y_ties), (dx, xv, x_ties) = y, x
@@ -255,52 +281,98 @@ def _full_support(n: int, a: Rows, bt: Rows) -> Profile | None:
 
     The profile when both sides' indifference systems have strictly
     positive solutions, else None.  Such a profile leaves no pure strategy
-    off the support, so it is an equilibrium.
+    off the support, so it is an equilibrium.  Each side's system is asked
+    for once and has no off-support row to check, so ``_solve`` takes it
+    straight, in any row order (module docstring), with no ``_Side``.
     """
-    full = tuple(range(n))
-    rhs = [0] * n + [1]
-    y = _indifferent(a, full, full, rhs)
+    y = _solve(a)
     if y is None or 0 in y[1]:
         return None
-    x = _indifferent(bt, full, full, rhs)
+    x = _solve(bt)
     if x is None or 0 in x[1]:
         return None
+    full = range(n)
     return Profile(_strategy(n, full, x[1], x[0]), _strategy(n, full, y[1], y[0]))
 
 
-def _indifferent(
-    m: Rows, rows: tuple[int, ...], cols: tuple[int, ...], rhs: list[int]
-) -> tuple[int, list[int], bool] | None:
-    """The strategy on ``cols`` that makes ``rows`` of ``m`` indifferent.
+class _Side:
+    """One player side's indifference systems, over the rows of ``m``.
 
-    Solves the bordered system sum_{c in cols} m[r][c] z_c = value for r in
-    rows, sum z_c = 1, and returns ``(d, z, ties)``: probabilities z_c / d
-    with d > 0 (so sum(z) == d), and whether an off-support row of ``m``
-    ties the support payoff.  None when the system is singular, a
+    ``solve(rows, cols)`` gives the strategy on ``cols`` that makes
+    ``rows`` of ``m`` indifferent, as ``(d, z, ties)``: probabilities
+    z_c / d with d > 0 (so sum(z) == d), and whether an off-support row of
+    ``m`` ties the support payoff.  None when the system is singular, a
     coordinate is negative, or an off-support row pays more.
+
+    The system depends only on the rows of ``m`` restricted to ``cols``,
+    in any order (module docstring), so each distinct one is solved once,
+    by ``_solve``, and kept under the sorted tuple of those rows.  The
+    restricted rows (one projection of all of ``m`` per ``cols``) and the
+    solved systems are kept for one support size only: keys of different
+    sizes never match, so a new size drops them.  The off-support check
+    runs on every call, since it depends on which rows are off.
     """
-    k = len(cols)
-    system = [[m[r][c] for c in cols] + [-1] for r in rows]
-    system.append([1] * k + [0])
-    d, z = eliminate(system, rhs)
+
+    __slots__ = ("m", "_columns", "_size", "_projections", "_solved")
+
+    def __init__(self, m: Rows):
+        self.m = m
+        self._columns = tuple(zip(*m))
+        self._size = 0
+        self._projections: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        self._solved: dict[Rows, tuple[int, list[int], int] | None] = {}
+
+    def solve(
+        self, rows: tuple[int, ...], cols: tuple[int, ...]
+    ) -> tuple[int, list[int], bool] | None:
+        if len(cols) != self._size:
+            self._size = len(cols)
+            self._projections.clear()
+            self._solved.clear()
+        projection = self._projections.get(cols)
+        if projection is None:
+            # row r of m restricted to cols, for every r
+            projection = list(zip(*map(self._columns.__getitem__, cols)))
+            self._projections[cols] = projection
+        key = tuple(sorted([projection[r] for r in rows]))
+        system = self._solved.get(key, False)
+        if system is False:
+            system = self._solved[key] = _solve(key)
+        if system is None:
+            return None
+        d, z, value = system
+        ties = False
+        for r, row in enumerate(projection):
+            if r in rows:
+                continue
+            payoff = sum(map(mul, row, z))
+            if payoff > value:
+                return None
+            if payoff == value:
+                ties = True
+        return d, z, ties
+
+
+def _solve(key: Rows) -> tuple[int, list[int], int] | None:
+    """The k x k indifference system on the restricted rows ``key``.
+
+    Returns ``(d, z, value)`` with d > 0, z_c / d the probabilities and
+    value / d the support payoff, or None when the system is singular or a
+    coordinate is negative.
+    """
+    r0 = key[0]
+    k = len(r0)
+    system = [[v - w for v, w in zip(row, r0)] for row in key[1:]]
+    system.append([1] * k)
+    d, z = eliminate(system, [0] * (k - 1) + [1])
     if not d:
         return None
     if d < 0:
         d = -d
         z = [-t for t in z]
-    value = z.pop()
     if any(t < 0 for t in z):
         return None
-    ties = False
-    for r, row in enumerate(m):
-        if r in rows:
-            continue
-        payoff = sum(row[c] * t for c, t in zip(cols, z))
-        if payoff > value:
-            return None
-        if payoff == value:
-            ties = True
-    return d, z, ties
+    return d, z, sum(map(mul, r0, z))
 
 
 def _strategy(

@@ -512,6 +512,20 @@ def test_solve_and_bound_write_numbers_past_the_digit_limit(tmp_path, capsys):
         dec(v) for v in expected]
 
 
+def _child_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this nashrand.
+
+    pyproject's ``pythonpath`` reaches this process's ``sys.path``, not a
+    child's environment, so the directory holding the imported package goes
+    first on the child's PYTHONPATH.  PYTHONINTMAXSTRDIGITS is dropped, so
+    the child has the interpreter's default digit limit.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    src = str(Path(nashrand.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def test_verify_reads_a_long_profile_only_when_the_limit_is_lifted(tmp_path, capsys):
     game_path, profile_path = tmp_path / "large.json", tmp_path / "profile.json"
     _large_payoff_game(game_path)
@@ -520,9 +534,7 @@ def test_verify_reads_a_long_profile_only_when_the_limit_is_lifted(tmp_path, cap
     solved = json.loads(out)
     (eq,) = solved["equilibria"]
     profile_path.write_text(json.dumps({"x": eq["x"], "y": eq["y"]}))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
-    src = str(Path(nashrand.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = _child_env()
     argv = [sys.executable, "-m", "nashrand.cli", "verify", str(game_path), str(profile_path)]
 
     result = subprocess.run(argv, capture_output=True, text=True, env=env)
@@ -679,6 +691,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "nashrand.cli"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert result.returncode == 2
 
@@ -689,6 +702,7 @@ def test_module_invocation_gen():
          "import sys; from nashrand.cli import main; sys.exit(main(['gen', 'example1']))"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert '"family_tag": "example1"' in result.stdout

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     X1_NUMERATORS,
     Y2_NUMERATORS,
+    canonicalize,
     coordination_game,
     enumerate_pairs,
     matching_pennies,
@@ -17,11 +18,12 @@ from conftest import (
 from nashrand import solving
 from nashrand.cli import resolve_max_n
 from nashrand.errors import DimensionTooLarge
-from nashrand.exact import IntMatrix, cofactor_sum, det
+from nashrand.exact import IntMatrix, cofactor_sum, det, eliminate
 from nashrand.families import (
     beta_game,
     constant_sum_beta,
     constant_sum_prime_block,
+    prime_block_game,
 )
 from nashrand.games import (
     Game,
@@ -464,11 +466,13 @@ def test_dominance_skip_keeps_pair_loop_reports(monkeypatch):
         Game(random_binary_matrix(rng, 6), random_binary_matrix(rng, 6))
         for _ in range(6)
     ]
-    solved = []
-    indifferent = solving._indifferent
+    # every system the loop asks a side for, counted before that side's
+    # memo can answer it, so repeated systems make the bound no easier
+    requested = []
+    solve = solving._Side.solve
     monkeypatch.setattr(
-        solving, "_indifferent",
-        lambda m, *args: solved.append(m) or indifferent(m, *args),
+        solving._Side, "solve",
+        lambda side, *args: requested.append(side.m) or solve(side, *args),
     )
     solving._enumerate.cache_clear()
     degenerate = 0
@@ -484,10 +488,119 @@ def test_dominance_skip_keeps_pair_loop_reports(monkeypatch):
     assert support_enumeration(unequal).equilibria == ()
     assert support_enumeration(unequal).degenerate_flag
     assert degenerate >= 3
-    # the skip fires: on the -99..99 games most y systems are never solved
+    # the skip fires: on the -99..99 games most y systems are never asked
+    # for; the count must not be empty, or the bound would show nothing
     a_rows = {game.A.rows for game in ints}
     pairs = sum(math.comb(2 * game.n, game.n) - 1 for game in ints)
-    assert sum(m in a_rows for m in solved) < pairs // 5
+    asked = sum(m in a_rows for m in requested)
+    assert 0 < asked < pairs // 5
+
+
+def _with_copied_line(rng: random.Random, n: int, copy_column: bool) -> Game:
+    """A -9..9 game whose A and B both repeat one row (or one column)."""
+    a, b = (random_int_matrix(rng, n, -9, 9).rows for _ in range(2))
+    src, dst = rng.sample(range(n), 2)
+    if copy_column:
+        a, b = (tuple(zip(*m)) for m in (a, b))
+    a, b = ([*m[:dst], m[src], *m[dst + 1:]] for m in (a, b))
+    if copy_column:
+        a, b = (list(zip(*m)) for m in (a, b))
+    return Game(IntMatrix(a), IntMatrix(b))
+
+
+def test_memoized_sides_match_bordered_pair_loop(monkeypatch):
+    # Each side solves a distinct k x k system once per support size and
+    # answers repeats from its memo; the oracle solves every pair's
+    # bordered (k+1) x (k+1) system afresh.  Every corpus here repeats
+    # systems: 0/1 and -1..1 entries, a copied row or column, dummy
+    # strategies padded onto the paper games, and the 3x3 game whose
+    # extreme equilibria have unequal supports.
+    rng = random.Random(8087)
+    corpora: dict[str, list[Game]] = {
+        "0..1": [], "-1..1": [], "copied row": [], "copied column": []
+    }
+    for n, count in ((4, 12), (5, 8), (6, 3), (7, 1)):
+        for _ in range(count):
+            corpora["0..1"].append(
+                Game(random_binary_matrix(rng, n), random_binary_matrix(rng, n))
+            )
+            corpora["-1..1"].append(
+                Game(random_int_matrix(rng, n, -1, 1), random_int_matrix(rng, n, -1, 1))
+            )
+    for n in (3, 4, 4, 5, 5, 6):
+        corpora["copied row"].append(_with_copied_line(rng, n, False))
+        corpora["copied column"].append(_with_copied_line(rng, n, True))
+    corpora["padded paper games"] = [
+        pad_game(g) for g in (prime_block_game(1), prime_block_game(2), beta_game(8))
+    ]
+    unequal = Game(
+        IntMatrix([[0, 1, 1], [1, 1, 0], [0, 0, 0]]),
+        IntMatrix([[3, 2, 0], [0, 2, 3], [0, 0, 0]]),
+    )
+    requested, solved = [], []
+    solve, solve_key = solving._Side.solve, solving._solve
+    monkeypatch.setattr(
+        solving._Side, "solve",
+        lambda side, *args: requested.append(1) or solve(side, *args),
+    )
+    monkeypatch.setattr(
+        solving, "_solve", lambda key: solved.append(1) or solve_key(key)
+    )
+    solving._enumerate.cache_clear()
+    degenerate = 0
+    for name, games in [*corpora.items(), ("unequal supports", [unequal])]:
+        asked, fresh = len(requested), len(solved)
+        for game in games:
+            report = support_enumeration(game)
+            slow = enumerate_pairs(game.n, game.A.rows, game.B.rows)
+            assert report.equilibria == slow.equilibria, name
+            assert report.c1_min == slow.c1_min, name
+            assert report.c2_min == slow.c2_min, name
+            assert report.degenerate_flag == slow.degenerate_flag, name
+            degenerate += slow.degenerate_flag
+        # the memo answered part of each random or padded corpus's requests
+        if name in corpora:
+            assert len(solved) - fresh < len(requested) - asked, name
+    assert degenerate > 20
+
+
+def _bordered_full_support(game: Game) -> Profile | None:
+    """Both players' (n+1) x (n+1) bordered systems on the full supports,
+    solved with no memo; the profile when both are strictly positive."""
+    n = game.n
+    strategies = []
+    for m in (tuple(zip(*game.B.rows)), game.A.rows):
+        system = [[*row, -1] for row in m]
+        system.append([1] * n + [0])
+        d, z = eliminate(system, [0] * n + [1])
+        if not d:
+            return None
+        probs = [Fraction(t, d) for t in z[:n]]
+        if min(probs) <= 0:
+            return None
+        strategies.append(canonicalize(probs))
+    return Profile(*strategies)
+
+
+def _permutation_with_noise(rng: random.Random, n: int) -> IntMatrix:
+    """A 0/1 permutation matrix with each other entry set at rate 1/10."""
+    cols = list(range(n))
+    rng.shuffle(cols)
+    return IntMatrix([[int(j == c or rng.random() < 0.1) for j in range(n)] for c in cols])
+
+
+def test_fully_mixed_ne_matches_bordered_full_support_solve():
+    # 4x4 binary games: uniformly random ones, which almost never have a
+    # fully mixed equilibrium, and noisy permutation matrices, which often do
+    rng = random.Random(4447)
+    found = 0
+    for draw in (random_binary_matrix, _permutation_with_noise):
+        for _ in range(1000):
+            game = Game(draw(rng, 4), draw(rng, 4))
+            expected = _bordered_full_support(game)
+            assert fully_mixed_ne(game) == expected
+            found += expected is not None
+    assert 50 < found < 500
 
 
 def test_near_identity_row_payoffs_take_pair_loop():
