@@ -60,14 +60,39 @@ so every report is the one the full loop gives.  The test must be
 strict: a weakly beaten row can still tie, and ties and zero coordinates
 raise the flag.
 
-Each side has one table per game, ``_beaten``: for every mask of columns,
-the mask of rows beaten on all of them.  It holds 2^n ints (1,024, about
-8 KB, at n = 10) and is built only after the ``max_n`` check, so it stays
-small for every n whose C(2n, n) loop could finish.  For each I, J ranges
-over the combinations of the columns that B leaves alive given I, in the
-same lexicographic order, and is then tested against A's table.
-Imitation games (below) use B's table alone: there J = I, and no row of
-the identity beats row r on a column set that contains r.
+A pair is also skipped when its payoff blocks repeat a line, which shows
+before any elimination and is common when payoffs take few values (0/1):
+
+    two rows of I are equal on J in A or in B; or
+    two columns of J are equal on I in A or in B.
+
+This skip is exact too.  If A[I][J] has two equal rows, the bordered y
+system [A[I][J] -1; 1^T 0] has two equal rows; if A[I][J] has two equal
+columns, the system has two equal columns, since the border row holds a
+1 in both.  Either way it is singular and the y side returns None.  The
+same holds for B[I][J] and the x system, built on B^T[J][I].  So, as
+above, no report changes.
+
+The skips read tables of 2^n ints (1,024 at n = 10), built only after the
+``max_n`` check, so they stay small for every n whose C(2n, n) loop could
+finish.  ``_beaten`` and ``_twins`` are built once per game by one walk,
+``_by_submask``, over the pairs of rows of a matrix and the subsets of the
+columns where the pair relates:
+
+    ``_beaten``, one per side: for every mask of columns, the mask of
+        rows beaten on all of them;
+    ``_twins``, one for rows and one for columns: for every mask of
+        columns (rows), the pairs of rows (columns) equal on all of it in
+        A or in B, each pair (r, s) one bit;
+    ``_inside``: for every mask, the pairs that lie inside it, in the same
+        bits; it depends on n alone.
+
+For each I, J ranges over the combinations of the columns that B leaves
+alive given I, in the same lexicographic order, and is then tested
+against A's table; a J that survives costs two more ANDs, one per twin
+table, against the pairs inside I or inside J.  Imitation games (below)
+use B's table alone: there J = I, and no row of the identity beats row r
+on a column set that contains r.
 
 Imitation games (A the identity) differ in two data choices only: J ranges
 over (I,) alone, so 2^n - 1 supports S are examined rather than C(2n, n) - 1
@@ -117,8 +142,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from operator import mul
+from itertools import combinations, compress
+from operator import eq, gt, mul
 from typing import Iterable
 
 from .errors import DimensionTooLarge, NoEquilibriumFound
@@ -141,7 +166,8 @@ class SolveReport:
     """Every equilibrium support enumeration found, in enumeration order.
 
     ``enumerated_supports`` counts the support pairs (I, J) covered, those
-    skipped by strict dominance included: C(2n, n) - 1 of them in general,
+    skipped unsolved included (by strict dominance or by a repeated row or
+    column, see the module docstring): C(2n, n) - 1 of them in general,
     and 2^n - 1 on imitation games, where J = I, so each is a single
     support S.  It is 1 on a constant-sum game certified from the
     full-support pair alone (see the module docstring).
@@ -194,9 +220,15 @@ def _enumerate(game: Game) -> SolveReport:
         if report is not None:
             return report
     # pairs that strict conditional dominance rules out are skipped
-    a_beaten = None if imitation else _beaten(a)
     b_beaten = _beaten(bt)
-    solve_y, solve_x = _Side(a).solve, _Side(bt).solve
+    solve_x = _Side(bt).solve
+    if not imitation:
+        a_beaten = _beaten(a)
+        # and so are pairs whose payoff blocks repeat a row or a column
+        row_twins = _twins(a, game.B.rows)
+        col_twins = _twins(tuple(zip(*a)), bt)
+        inside = _inside(n)
+        solve_y = _Side(a).solve
     equilibria: list[Profile] = []
     degenerate = False
     for k in range(1, n + 1):
@@ -208,9 +240,12 @@ def _enumerate(game: Game) -> SolveReport:
                 pairs = [] if dead & i_mask else [I]
             else:
                 alive = [j for j in range(n) if not dead >> j & 1]
+                i_pairs, i_twins = inside[i_mask], col_twins[i_mask]
                 pairs = [
                     J for J in combinations(alive, k)
-                    if not a_beaten[masks[J]] & i_mask
+                    if not a_beaten[j_mask := masks[J]] & i_mask
+                    and not row_twins[j_mask] & i_pairs
+                    and not i_twins & inside[j_mask]
                 ]
             for J in pairs:
                 y = uniform_y if imitation else solve_y(I, J)
@@ -243,20 +278,63 @@ def _beaten(m: Rows) -> list[int]:
     """For each mask of columns of ``m``, the mask of its beaten rows.
 
     Row r is beaten on a column mask when some other row of ``m`` pays
-    strictly more on every column in it.  Each pair of rows adds r to every
-    nonempty subset of the columns where the other row is greater, so the
-    table costs the sum of 2^|g| over those sets g, not n^2 2^n.
+    strictly more on every column in it: each pair of rows marks r on the
+    columns where the other row is greater.
     """
-    beaten = [0] * (1 << len(m[0]))
-    for r, row in enumerate(m):
-        bit = 1 << r
-        for other in m:
-            g = _mask(j for j, (p, q) in enumerate(zip(other, row)) if p > q)
-            sub = g
-            while sub:
-                beaten[sub] |= bit
-                sub = (sub - 1) & g
-    return beaten
+    bits = [1 << j for j in range(len(m[0]))]
+    return _by_submask(len(bits), (
+        (sum(compress(bits, map(gt, other, row))), 1 << r)
+        for r, row in enumerate(m)
+        for other in m
+    ))
+
+
+def _twins(*ms: Rows) -> list[int]:
+    """For each mask of columns, the pairs of rows equal on all of it.
+
+    A pair counts when its two rows are equal in any one of the same-shape
+    matrices ``ms``: each matrix marks the pair on the columns where its
+    two rows are equal.  Pair (r, s) is the bit ``_inside`` gives it.
+    """
+    bits = [1 << j for j in range(len(ms[0][0]))]
+    return _by_submask(len(bits), (
+        (sum(compress(bits, map(eq, m[r], m[s]))), 1 << s * (s - 1) // 2 + r)
+        for m in ms
+        for s in range(len(m))
+        for r in range(s)
+    ))
+
+
+@lru_cache(maxsize=DEFAULT_MAX_N)
+def _inside(n: int) -> tuple[int, ...]:
+    """For each mask of n indices, the pairs r < s that lie inside it.
+
+    Pair (r, s) is bit s(s - 1)/2 + r, so the pairs whose larger index is
+    s are the mask's lower bits shifted to s(s - 1)/2.  The table depends
+    on n alone, so one per n is kept.
+    """
+    inside = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        s = mask.bit_length() - 1
+        rest = mask ^ 1 << s
+        inside[mask] = inside[rest] | rest << s * (s - 1) // 2
+    return tuple(inside)
+
+
+def _by_submask(width: int, marks: Iterable[tuple[int, int]]) -> list[int]:
+    """For each mask of ``width`` bits, the OR of the ``bit`` of every mark
+    ``(g, bit)`` whose g contains it; the empty mask gets 0.
+
+    Each mark visits the nonempty submasks of its g, so the table costs the
+    sum of 2^|g| over the marks, not (number of marks) 2^width.
+    """
+    table = [0] * (1 << width)
+    for g, bit in marks:
+        sub = g
+        while sub:
+            table[sub] |= bit
+            sub = (sub - 1) & g
+    return table
 
 
 def _certify(n: int, a: Rows, bt: Rows) -> SolveReport | None:

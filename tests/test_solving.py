@@ -37,6 +37,8 @@ from nashrand.games import (
 from nashrand.solving import (
     _beaten,
     _certify,
+    _inside,
+    _twins,
     bounded_ne_exists,
     complexity_upper_bound,
     fully_mixed_ne,
@@ -448,6 +450,61 @@ def test_beaten_table_matches_definition():
     assert checked == 126 and fired > 100
 
 
+def _twins_by_definition(*ms) -> list[int]:
+    """Rows r < s are twins on column mask S iff S is nonempty and some m
+    in ``ms`` has m[r][j] == m[s][j] for every j in S; read straight off
+    that definition, with the pair's bit taken from ``_inside``."""
+    n_rows, n_cols = len(ms[0]), len(ms[0][0])
+    inside = _inside(n_rows)
+    table = []
+    for mask in range(1 << n_cols):
+        cols = [j for j in range(n_cols) if mask >> j & 1]
+        table.append(sum(
+            inside[1 << r | 1 << s]
+            for s in range(n_rows) for r in range(s)
+            if cols and any(all(m[r][j] == m[s][j] for j in cols) for m in ms)
+        ))
+    return table
+
+
+def test_twin_table_matches_definition():
+    # _inside gives each pair r < s its own bit, and a mask the bits of the
+    # pairs that lie in it
+    for n in range(1, 9):
+        inside = _inside(n)
+        bits = {(r, s): inside[1 << r | 1 << s] for s in range(n) for r in range(s)}
+        assert sorted(bits.values()) == [1 << b for b in range(len(bits))]
+        assert list(inside) == [
+            sum(bit for (r, s), bit in bits.items() if mask >> r & 1 and mask >> s & 1)
+            for mask in range(1 << n)
+        ]
+    rng = random.Random(6113)
+    checked = fired = 0
+    for n in range(1, 8):
+        for lo, hi in ((-99, 99), (0, 1)):
+            rows = random_int_matrix(rng, n, lo, hi).rows
+            # a copy of one row, and a copy of one column
+            copied_row = rows + (rows[rng.randrange(n)],)
+            columns = tuple(zip(*rows))
+            copied_column = tuple(zip(*columns, columns[rng.randrange(n)]))
+            for m in (rows, copied_row, copied_column):
+                other = tuple(tuple(rng.randint(lo, hi) for _ in row) for row in m)
+                mt = tuple(zip(*m))
+                for ms in ((m,), (mt,), (m, other), (mt, tuple(zip(*other)))):
+                    table = _twins(*ms)
+                    assert table == _twins_by_definition(*ms)
+                    checked += 1
+                    fired += any(table)
+            # the copied row is twinned with its source on every column mask
+            table = _twins(copied_row)
+            assert all(table[mask] for mask in range(1, 1 << n))
+    # all entries equal: every pair is twinned on every nonempty mask
+    same = ((5, 5, 5),) * 4
+    assert _twins(same) == [0] + [0b111111] * 7
+    assert _twins(tuple(zip(*same))) == [0] + [0b111] * 15
+    assert checked == 168 and fired > 100
+
+
 def test_dominance_skip_keeps_pair_loop_reports(monkeypatch):
     # seeded games where strict conditional dominance skips most pairs:
     # entries in -99..99 at n = 6 and 7, binary ones at n = 6 (mostly
@@ -508,13 +565,21 @@ def _with_copied_line(rng: random.Random, n: int, copy_column: bool) -> Game:
     return Game(IntMatrix(a), IntMatrix(b))
 
 
+def _repeats_a_line(m, rows, cols) -> bool:
+    """Whether the block m[rows][cols] has two equal rows or two equal columns."""
+    block = [tuple(m[r][c] for c in cols) for r in rows]
+    return len(set(block)) < len(rows) or len(set(zip(*block))) < len(cols)
+
+
 def test_memoized_sides_match_bordered_pair_loop(monkeypatch):
     # Each side solves a distinct k x k system once per support size and
     # answers repeats from its memo; the oracle solves every pair's
     # bordered (k+1) x (k+1) system afresh.  Every corpus here repeats
     # systems: 0/1 and -1..1 entries, a copied row or column, dummy
     # strategies padded onto the paper games, and the 3x3 game whose
-    # extreme equilibria have unequal supports.
+    # extreme equilibria have unequal supports.  The same corpora are full
+    # of pairs whose blocks repeat a row or a column; those are skipped
+    # unsolved, so no side is ever asked for one.
     rng = random.Random(8087)
     corpora: dict[str, list[Game]] = {
         "0..1": [], "-1..1": [], "copied row": [], "copied column": []
@@ -537,12 +602,19 @@ def test_memoized_sides_match_bordered_pair_loop(monkeypatch):
         IntMatrix([[0, 1, 1], [1, 1, 0], [0, 0, 0]]),
         IntMatrix([[3, 2, 0], [0, 2, 3], [0, 0, 0]]),
     )
-    requested, solved = [], []
+    requested, solved, current = [], [], []
     solve, solve_key = solving._Side.solve, solving._solve
-    monkeypatch.setattr(
-        solving._Side, "solve",
-        lambda side, *args: requested.append(1) or solve(side, *args),
-    )
+
+    def checked_solve(side, rows, cols):
+        game = current[-1]
+        # the y side is asked for (I, J) on A, the x side for (J, I) on B^T
+        I, J = (rows, cols) if side.m is game.A.rows else (cols, rows)
+        for m in (game.A.rows, game.B.rows):
+            assert not _repeats_a_line(m, I, J), (I, J)
+        requested.append(1)
+        return solve(side, rows, cols)
+
+    monkeypatch.setattr(solving._Side, "solve", checked_solve)
     monkeypatch.setattr(
         solving, "_solve", lambda key: solved.append(1) or solve_key(key)
     )
@@ -551,6 +623,7 @@ def test_memoized_sides_match_bordered_pair_loop(monkeypatch):
     for name, games in [*corpora.items(), ("unequal supports", [unequal])]:
         asked, fresh = len(requested), len(solved)
         for game in games:
+            current.append(game)
             report = support_enumeration(game)
             slow = enumerate_pairs(game.n, game.A.rows, game.B.rows)
             assert report.equilibria == slow.equilibria, name
