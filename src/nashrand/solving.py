@@ -7,13 +7,13 @@ two indifference systems are solved exactly, once per player side:
     sum_{i in I} x_i B_{ i j } = u   for j in J,   sum x_i = 1
 
 The column player's y comes from (A, I, J), the row player's x from
-(B^T, J, I); in the loop each side is one ``_Side``.  A candidate is
-accepted when both solutions are strictly positive on their nominal
-supports and no off-support pure strategy beats the support payoff.
-Equal-size supports capture every equilibrium of a nondegenerate game; a
-degeneracy flag is raised whenever evidence to the contrary shows up (an
-off-support pure strategy tied with the support payoff, or a solved
-support coordinate landing on zero).
+(B^T, J, I); in the loop each side is one ``_side`` per support size.  A
+candidate is accepted when both solutions are strictly positive on their
+nominal supports and no off-support pure strategy beats the support
+payoff.  Equal-size supports capture every equilibrium of a nondegenerate
+game; a degeneracy flag is raised whenever evidence to the contrary shows
+up (an off-support pure strategy tied with the support payoff, or a
+solved support coordinate landing on zero).
 
 A side solves k x k systems, not the bordered (k + 1) x (k + 1) ones, and
 each distinct system once.  Write m for the side's matrix, R for the k
@@ -75,24 +75,21 @@ above, no report changes.
 
 The skips read tables of 2^n ints (1,024 at n = 10), built only after the
 ``max_n`` check, so they stay small for every n whose C(2n, n) loop could
-finish.  ``_beaten`` and ``_twins`` are built once per game by one walk,
-``_by_submask``, over the pairs of rows of a matrix and the subsets of the
-columns where the pair relates:
-
-    ``_beaten``, one per side: for every mask of columns, the mask of
-        rows beaten on all of them;
-    ``_twins``, one for rows and one for columns: for every mask of
-        columns (rows), the pairs of rows (columns) equal on all of it in
-        A or in B, each pair (r, s) one bit;
-    ``_inside``: for every mask, the pairs that lie inside it, in the same
-        bits; it depends on n alone.
-
-For each I, J ranges over the combinations of the columns that B leaves
-alive given I, in the same lexicographic order, and is then tested
-against A's table; a J that survives costs two more ANDs, one per twin
-table, against the pairs inside I or inside J.  Imitation games (below)
-use B's table alone: there J = I, and no row of the identity beats row r
-on a column set that contains r.
+finish.  An entry holds one bit per strategy and, above those n bits, one
+bit per pair of strategies r < s, bit n + s(s - 1)/2 + r.  Each player
+has one table, ``_ruled_out``, built once per game by one walk over the
+pairs of rows of the player's side matrix and the subsets of the columns
+where the pair relates: for every mask of columns, the rows beaten on all
+of it, and above them the pairs of rows equal on all of it in A or in B,
+read the same way round.  A's table, over masks J, is y_dead; B^T's, over
+masks I with A^T as the other matrix, is x_dead.  The pairs table,
+``_pairs``, depends on n alone: for every mask, its own bits and, above
+them, the pairs inside it.  With test that table, a pair survives both
+skips on two ANDs, x_dead[I] & test[J] == 0 and y_dead[J] & test[I] == 0,
+and J ranges over all supports of I's size.  Imitation games (below)
+build no pairs table and no pair bits: there J = I, the test is
+x_dead[S] & S, and no row of the identity beats row r on a column set
+that contains r.
 
 Imitation games (A the identity) differ in two data choices only: J ranges
 over (I,) alone, so 2^n - 1 supports S are examined rather than C(2n, n) - 1
@@ -144,7 +141,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
 from operator import eq, gt, mul
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import DimensionTooLarge, NoEquilibriumFound
 from .exact import eliminate
@@ -159,6 +156,8 @@ from .games import (
 DEFAULT_MAX_N = 10
 
 Rows = tuple[tuple[int, ...], ...]
+Support = tuple[int, ...]
+Solution = tuple[int, list[int], bool]
 
 
 @dataclass(frozen=True)
@@ -212,40 +211,41 @@ def _enumerate(game: Game) -> SolveReport:
     # z_i / d, and accepted strategies are reduced by gcd(z), so no
     # Fraction is ever built.
     n = game.n
-    a = game.A.rows
-    bt = tuple(zip(*game.B.rows))
+    a, b = game.A.rows, game.B.rows
+    bt = tuple(zip(*b))
     imitation = game.A.is_identity()
     if not imitation:
         report = _certify(n, a, bt)
         if report is not None:
             return report
-    # pairs that strict conditional dominance rules out are skipped
-    b_beaten = _beaten(bt)
-    solve_x = _Side(bt).solve
-    if not imitation:
-        a_beaten = _beaten(a)
-        # and so are pairs whose payoff blocks repeat a row or a column
-        row_twins = _twins(a, game.B.rows)
-        col_twins = _twins(tuple(zip(*a)), bt)
-        inside = _inside(n)
-        solve_y = _Side(a).solve
+    # pairs that strict conditional dominance or a repeated line rules out
+    # are skipped; imitation games have no pair bits, so each mask's own
+    # bits are its whole test entry
+    if imitation:
+        x_dead, test = _ruled_out(bt), range(1 << n)
+    else:
+        at = tuple(zip(*a))
+        x_dead, y_dead, test = _ruled_out(bt, bt, at), _ruled_out(a, a, b), _pairs(n)
+    bits = [1 << i for i in range(n)]
     equilibria: list[Profile] = []
     degenerate = False
     for k in range(1, n + 1):
-        masks = {S: _mask(S) for S in combinations(range(n), k)}
+        masks = map(sum, combinations(bits, k))
+        level = ((S, m, test[m]) for S, m in zip(combinations(range(n), k), masks))
+        # imitation games visit each support once, so theirs stays lazy
+        level = level if imitation else list(level)
+        solve_x = _side(b)
+        if not imitation:
+            solve_y = _side(at)
         uniform_y = (k, [1] * k, False)
-        for I, i_mask in masks.items():
-            dead = b_beaten[i_mask]
+        for I, i_mask, i_test in level:
+            i_dead = x_dead[i_mask]
             if imitation:
-                pairs = [] if dead & i_mask else [I]
+                pairs = [] if i_dead & i_test else [I]
             else:
-                alive = [j for j in range(n) if not dead >> j & 1]
-                i_pairs, i_twins = inside[i_mask], col_twins[i_mask]
                 pairs = [
-                    J for J in combinations(alive, k)
-                    if not a_beaten[j_mask := masks[J]] & i_mask
-                    and not row_twins[j_mask] & i_pairs
-                    and not i_twins & inside[j_mask]
+                    J for J, j_mask, j_test in level
+                    if not i_dead & j_test and not y_dead[j_mask] & i_test
                 ]
             for J in pairs:
                 y = uniform_y if imitation else solve_y(I, J)
@@ -270,71 +270,48 @@ def _enumerate(game: Game) -> SolveReport:
     return SolveReport(tuple(equilibria), c1, c2, degenerate, covered)
 
 
-def _mask(indices: Iterable[int]) -> int:
-    return sum(1 << i for i in indices)
+def _ruled_out(m: Rows, *twins: Rows) -> list[int]:
+    """For each mask of columns of ``m``, the rows and row pairs it rules out.
 
-
-def _beaten(m: Rows) -> list[int]:
-    """For each mask of columns of ``m``, the mask of its beaten rows.
-
-    Row r is beaten on a column mask when some other row of ``m`` pays
-    strictly more on every column in it: each pair of rows marks r on the
-    columns where the other row is greater.
+    Row r's bit is set when some other row of ``m`` pays strictly more on
+    every column in the mask.  Above the len(m) row bits, pair r < s has
+    its ``_pairs`` bit set when rows r and s are equal on the mask in one
+    of the same-shape matrices ``twins``.  Each pair of rows marks its bit
+    on the columns g where it relates (greater, or equal), and the mark
+    visits the nonempty submasks of g, so the table costs the sum of 2^|g|
+    over the marks, not (number of marks) 2^width.
     """
-    bits = [1 << j for j in range(len(m[0]))]
-    return _by_submask(len(bits), (
+    n, bits = len(m), [1 << j for j in range(len(m[0]))]
+    marks = [
         (sum(compress(bits, map(gt, other, row))), 1 << r)
-        for r, row in enumerate(m)
-        for other in m
-    ))
-
-
-def _twins(*ms: Rows) -> list[int]:
-    """For each mask of columns, the pairs of rows equal on all of it.
-
-    A pair counts when its two rows are equal in any one of the same-shape
-    matrices ``ms``: each matrix marks the pair on the columns where its
-    two rows are equal.  Pair (r, s) is the bit ``_inside`` gives it.
-    """
-    bits = [1 << j for j in range(len(ms[0][0]))]
-    return _by_submask(len(bits), (
-        (sum(compress(bits, map(eq, m[r], m[s]))), 1 << s * (s - 1) // 2 + r)
-        for m in ms
-        for s in range(len(m))
-        for r in range(s)
-    ))
-
-
-@lru_cache(maxsize=DEFAULT_MAX_N)
-def _inside(n: int) -> tuple[int, ...]:
-    """For each mask of n indices, the pairs r < s that lie inside it.
-
-    Pair (r, s) is bit s(s - 1)/2 + r, so the pairs whose larger index is
-    s are the mask's lower bits shifted to s(s - 1)/2.  The table depends
-    on n alone, so one per n is kept.
-    """
-    inside = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        s = mask.bit_length() - 1
-        rest = mask ^ 1 << s
-        inside[mask] = inside[rest] | rest << s * (s - 1) // 2
-    return tuple(inside)
-
-
-def _by_submask(width: int, marks: Iterable[tuple[int, int]]) -> list[int]:
-    """For each mask of ``width`` bits, the OR of the ``bit`` of every mark
-    ``(g, bit)`` whose g contains it; the empty mask gets 0.
-
-    Each mark visits the nonempty submasks of its g, so the table costs the
-    sum of 2^|g| over the marks, not (number of marks) 2^width.
-    """
-    table = [0] * (1 << width)
+        for r, row in enumerate(m) for other in m
+    ] + [
+        (sum(compress(bits, map(eq, t[r], t[s]))), 1 << n + s * (s - 1) // 2 + r)
+        for t in twins for s in range(n) for r in range(s)
+    ]
+    table = [0] * (1 << len(bits))
     for g, bit in marks:
         sub = g
         while sub:
             table[sub] |= bit
             sub = (sub - 1) & g
     return table
+
+
+@lru_cache(maxsize=DEFAULT_MAX_N)
+def _pairs(n: int) -> tuple[int, ...]:
+    """For each mask of n indices, its own bits and the pairs inside it.
+
+    Pair r < s is bit n + s(s - 1)/2 + r, so the pairs whose larger index
+    is s are the mask's lower bits shifted to n + s(s - 1)/2.  The table
+    depends on n alone, so one per n is kept.
+    """
+    pairs = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        s = mask.bit_length() - 1
+        rest = mask ^ 1 << s
+        pairs[mask] = pairs[rest] | 1 << s | rest << n + s * (s - 1) // 2
+    return tuple(pairs)
 
 
 def _certify(n: int, a: Rows, bt: Rows) -> SolveReport | None:
@@ -361,7 +338,7 @@ def _full_support(n: int, a: Rows, bt: Rows) -> Profile | None:
     positive solutions, else None.  Such a profile leaves no pure strategy
     off the support, so it is an equilibrium.  Each side's system is asked
     for once and has no off-support row to check, so ``_solve`` takes it
-    straight, in any row order (module docstring), with no ``_Side``.
+    straight, in any row order (module docstring), with no ``_side``.
     """
     y = _solve(a)
     if y is None or 0 in y[1]:
@@ -373,49 +350,38 @@ def _full_support(n: int, a: Rows, bt: Rows) -> Profile | None:
     return Profile(_strategy(n, full, x[1], x[0]), _strategy(n, full, y[1], y[0]))
 
 
-class _Side:
-    """One player side's indifference systems, over the rows of ``m``.
+def _side(columns: Rows) -> Callable[[Support, Support], Solution | None]:
+    """One player side's indifference systems at one support size.
 
+    ``columns`` are the columns of the side's matrix m.  The returned
     ``solve(rows, cols)`` gives the strategy on ``cols`` that makes
-    ``rows`` of ``m`` indifferent, as ``(d, z, ties)``: probabilities
-    z_c / d with d > 0 (so sum(z) == d), and whether an off-support row of
-    ``m`` ties the support payoff.  None when the system is singular, a
-    coordinate is negative, or an off-support row pays more.
+    ``rows`` of m indifferent, as ``(d, z, ties)``: probabilities z_c / d
+    with d > 0 (so sum(z) == d), and whether an off-support row of m ties
+    the support payoff.  None when the system is singular, a coordinate is
+    negative, or an off-support row pays more.
 
-    The system depends only on the rows of ``m`` restricted to ``cols``,
-    in any order (module docstring), so each distinct one is solved once,
-    by ``_solve``, and kept under the sorted tuple of those rows.  The
-    restricted rows (one projection of all of ``m`` per ``cols``) and the
-    solved systems are kept for one support size only: keys of different
-    sizes never match, so a new size drops them.  The off-support check
-    runs on every call, since it depends on which rows are off.
+    The system depends only on the rows of m restricted to ``cols``, in
+    any order (module docstring), so each distinct one is solved once, by
+    ``_solve``, and kept under the sorted tuple of those rows, next to the
+    restricted rows of m for each ``cols``.  Each support size gets a
+    fresh side: keys of different sizes never match, so what one size
+    keeps can never answer another, and dropping it bounds the memo by one
+    size's systems (a memo kept for the whole game measured +15 MB RSS on
+    a random binary n = 10 game).  The off-support check runs on every
+    call, since it depends on which rows are off.
     """
+    projections: dict[Support, list[Support]] = {}
+    solved: dict[Rows, tuple[int, list[int], int] | None] = {}
 
-    __slots__ = ("m", "_columns", "_size", "_projections", "_solved")
-
-    def __init__(self, m: Rows):
-        self.m = m
-        self._columns = tuple(zip(*m))
-        self._size = 0
-        self._projections: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        self._solved: dict[Rows, tuple[int, list[int], int] | None] = {}
-
-    def solve(
-        self, rows: tuple[int, ...], cols: tuple[int, ...]
-    ) -> tuple[int, list[int], bool] | None:
-        if len(cols) != self._size:
-            self._size = len(cols)
-            self._projections.clear()
-            self._solved.clear()
-        projection = self._projections.get(cols)
+    def solve(rows: Support, cols: Support) -> Solution | None:
+        projection = projections.get(cols)
         if projection is None:
             # row r of m restricted to cols, for every r
-            projection = list(zip(*map(self._columns.__getitem__, cols)))
-            self._projections[cols] = projection
+            projection = projections[cols] = list(zip(*map(columns.__getitem__, cols)))
         key = tuple(sorted([projection[r] for r in rows]))
-        system = self._solved.get(key, False)
+        system = solved.get(key, False)
         if system is False:
-            system = self._solved[key] = _solve(key)
+            system = solved[key] = _solve(key)
         if system is None:
             return None
         d, z, value = system
@@ -429,6 +395,8 @@ class _Side:
             if payoff == value:
                 ties = True
         return d, z, ties
+
+    return solve
 
 
 def _solve(key: Rows) -> tuple[int, list[int], int] | None:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -148,6 +148,33 @@ def random_binary_matrix(rng: random.Random, n: int) -> IntMatrix:
             row.append(r)
         rows.append(row)
     return IntMatrix(rows)
+
+
+# each 32-bit output's top byte, mapped to getrandbits(2) and cleared of the
+# values randint(0, 1) rejects
+_TOP_TWO_BITS = bytes(t >> 6 for t in range(256))
+_REJECTED = bytes(range(128, 256))
+
+
+def binary_blocks(rng: random.Random, size: int) -> Iterator[bytes]:
+    """Successive blocks of ``size`` ``rng.randint(0, 1)`` values, read in bulk.
+
+    ``getrandbits(2)`` is the top two bits of one 32-bit output, and
+    ``randint(0, 1)`` draws it until the value is below 2.  Like
+    ``BitSource``, this reads 1,024 outputs at a time from the little-endian
+    bytes of ``getrandbits(32 * 1024)``, where every fourth byte is an
+    output's top byte.  With size = n^2, a block holds the entries of the
+    ``random_binary_matrix(rng, n)`` call it replaces, row-major (pinned by
+    ``test_random_binary_matrix_matches_randint``).  The reader draws ahead,
+    so nothing else may use ``rng`` meanwhile.
+    """
+    pending = b""
+    while True:
+        top = rng.getrandbits(32 * 1024).to_bytes(4 * 1024, "little")[3::4]
+        pending += top.translate(_TOP_TWO_BITS, _REJECTED)
+        end = len(pending) - len(pending) % size
+        yield from (pending[i:i + size] for i in range(0, end, size))
+        pending = pending[end:]
 
 
 def random_int_matrix(rng: random.Random, n: int, lo: int, hi: int) -> IntMatrix:

@@ -1,12 +1,15 @@
+import functools
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from conftest import (
     X1_NUMERATORS,
     Y2_NUMERATORS,
+    binary_blocks,
     canonicalize,
     coordination_game,
     enumerate_pairs,
@@ -35,10 +38,9 @@ from nashrand.games import (
     uniform,
 )
 from nashrand.solving import (
-    _beaten,
     _certify,
-    _inside,
-    _twins,
+    _pairs,
+    _ruled_out,
     bounded_ne_exists,
     complexity_upper_bound,
     fully_mixed_ne,
@@ -255,31 +257,75 @@ def test_bound_depends_on_opponent_matrix():
 
 
 def test_random_binary_matrix_matches_randint():
-    # the next test's 30 instances depend on this stream staying the same
-    fast, slow = random.Random(404), random.Random(404)
-    randint = slow.randint
-    for _ in range(200_000):
-        want = [[randint(0, 1) for _ in range(4)] for _ in range(4)]
-        assert random_binary_matrix(fast, 4).rows == tuple(map(tuple, want))
+    # the next test's 30 instances depend on this stream staying the same,
+    # whether it is read one matrix at a time or in bulk
+    randint = random.Random(404).randint
+    want = bytes([randint(0, 1) for _ in range(200_000 * 16)])
+    matrices = [want[i:i + 16] for i in range(0, len(want), 16)]
+    fast = random.Random(404)
+    assert [
+        b"".join(map(bytes, random_binary_matrix(fast, 4).rows)) for _ in matrices
+    ] == matrices
+    blocks = binary_blocks(random.Random(404), 16)
+    assert list(islice(blocks, len(matrices))) == matrices
+
+
+# The first 30 games of the seeded stream below with both payoff matrices
+# nonsingular and a fully mixed equilibrium, each matrix as 16 bits,
+# row-major, the first entry most significant.
+FULLY_MIXED_BINARY_GAMES = [
+    (0x8563, 0x358E), (0x2C95, 0x497A), (0x9CA5, 0x7DEB), (0xD7BE, 0xA947),
+    (0x9C6A, 0x8412), (0x3A49, 0x16CB), (0x3AD6, 0xB52C), (0xC6B5, 0x94A7),
+    (0x9563, 0x92C5), (0xA1C6, 0xE835), (0x59E3, 0x94A3), (0xCA96, 0xE583),
+    (0xC935, 0x853E), (0x8365, 0x943A), (0x9C3A, 0x34A9), (0x7BDE, 0xA3D4),
+    (0x8563, 0x16BC), (0xDB7E, 0xE953), (0x7C9A, 0x68B5), (0xA936, 0xAC16),
+    (0x4812, 0xBD7E), (0x53A9, 0xE439), (0x5C69, 0x72C9), (0x9A35, 0xCB56),
+    (0xAC97, 0x27C9), (0x3D6A, 0x29E5), (0x9A43, 0xCB61), (0x952C, 0x56BC),
+    (0x4182, 0xE395), (0x6A3D, 0xC6A1),
+]
 
 
 def test_fully_mixed_complexity_bounded_by_cofactor_sum():
     # binary games with a fully mixed equilibrium: the canonical denominators
     # divide the opponent matrix's cofactor sum
-    rng = random.Random(404)
-    found = 0
-    while found < 30:
-        a = random_binary_matrix(rng, 4)
-        b = random_binary_matrix(rng, 4)
-        if det(a) == 0 or det(b) == 0:
+    eye = IntMatrix.identity(4)
+
+    # A fully mixed equilibrium of (A, B) pairs the y that makes A's rows
+    # indifferent with the x that makes B's columns indifferent, so it
+    # exists iff (A, I) and (I, B) have one.  Reordering a matrix's rows
+    # flips at most det's sign, keeps y and permutes x, so each check runs
+    # once per multiset of rows: C(19, 4) = 3,876 of them.
+    @functools.cache
+    def checks(rows: tuple[bytes, ...]) -> tuple[bool, bool]:
+        """Whether the matrix is nonsingular with a fully mixed y side as A,
+        and nonsingular with a fully mixed x side as B."""
+        m = IntMatrix(rows)
+        if det(m) == 0:
+            return False, False
+        return (
+            fully_mixed_ne(Game(m, eye)) is not None,
+            fully_mixed_ne(Game(eye, m)) is not None,
+        )
+
+    def rows(entries: bytes) -> tuple[bytes, ...]:
+        return entries[0:4], entries[4:8], entries[8:12], entries[12:16]
+
+    usable = functools.cache(lambda entries: checks(tuple(sorted(rows(entries)))))
+    blocks, kept = binary_blocks(random.Random(404), 16), []
+    # each game is two blocks: A's 16 entries, then B's
+    for drawn, (a, b) in enumerate(zip(blocks, blocks), 1):
+        if not (usable(a)[0] and usable(b)[1]):
             continue
-        game = Game(a, b)
+        game = Game(IntMatrix(rows(a)), IntMatrix(rows(b)))
         profile = fully_mixed_ne(game)
-        if profile is None:
-            continue
-        assert complexity(profile.x) <= abs(cofactor_sum(b))
-        assert complexity(profile.y) <= abs(cofactor_sum(a))
-        found += 1
+        assert profile is not None
+        assert complexity(profile.x) <= abs(cofactor_sum(game.B))
+        assert complexity(profile.y) <= abs(cofactor_sum(game.A))
+        kept.append(tuple(int("".join(map(str, m)), 2) for m in (a, b)))
+        if len(kept) == 30:
+            break
+    assert kept == FULLY_MIXED_BINARY_GAMES
+    assert drawn == 412_781
 
 
 def test_padding_preserves_min_complexities(corpus):
@@ -431,78 +477,109 @@ def _beaten_by_definition(m) -> list[int]:
     return table
 
 
-def test_beaten_table_matches_definition():
-    rng = random.Random(6101)
-    checked = fired = 0
-    for n in range(1, 8):
-        for lo, hi in ((-99, 99), (0, 1)):
-            for _ in range(3):
-                rows = random_int_matrix(rng, n, lo, hi).rows
-                # a copy of one row: equal rows never beat each other
-                copied = rows + (rows[rng.randrange(n)],)
-                for m in (rows, copied, tuple(zip(*copied))):
-                    table = _beaten(m)
-                    assert table == _beaten_by_definition(m)
-                    checked += 1
-                    fired += any(table)
-    same = ((3, -1, 4),) * 3
-    assert _beaten(same) == [0] * 8
-    assert checked == 126 and fired > 100
-
-
-def _twins_by_definition(*ms) -> list[int]:
-    """Rows r < s are twins on column mask S iff S is nonempty and some m
-    in ``ms`` has m[r][j] == m[s][j] for every j in S; read straight off
-    that definition, with the pair's bit taken from ``_inside``."""
-    n_rows, n_cols = len(ms[0]), len(ms[0][0])
-    inside = _inside(n_rows)
+def _twins_by_definition(m, twins) -> list[int]:
+    """Rows r < s are twins on column mask S iff S is nonempty and some t
+    in ``twins`` has t[r][j] == t[s][j] for every j in S; read straight off
+    that definition, with the pair's bit the one ``_pairs`` puts above the
+    len(m) row bits."""
+    n_rows, n_cols = len(m), len(m[0])
+    pairs = _pairs(n_rows)
     table = []
     for mask in range(1 << n_cols):
         cols = [j for j in range(n_cols) if mask >> j & 1]
         table.append(sum(
-            inside[1 << r | 1 << s]
+            pairs[1 << r | 1 << s] ^ (1 << r | 1 << s)
             for s in range(n_rows) for r in range(s)
-            if cols and any(all(m[r][j] == m[s][j] for j in cols) for m in ms)
+            if cols and any(all(t[r][j] == t[s][j] for j in cols) for t in twins)
         ))
     return table
 
 
-def test_twin_table_matches_definition():
-    # _inside gives each pair r < s its own bit, and a mask the bits of the
-    # pairs that lie in it
-    for n in range(1, 9):
-        inside = _inside(n)
-        bits = {(r, s): inside[1 << r | 1 << s] for s in range(n) for r in range(s)}
-        assert sorted(bits.values()) == [1 << b for b in range(len(bits))]
-        assert list(inside) == [
-            sum(bit for (r, s), bit in bits.items() if mask >> r & 1 and mask >> s & 1)
-            for mask in range(1 << n)
-        ]
-    rng = random.Random(6113)
-    checked = fired = 0
+def _ruled_out_cases():
+    """The builder's tables on square, copied-row and copied-column
+    (non-square) matrices and their transposes, each with no twin matrices
+    (the beaten-only input of imitation games), the matrix alone, and the
+    matrix with another of its shape: yields (m, twins, table), then
+    (copied_row, None, table) for each copied-row matrix built with itself
+    as twin."""
+    rng = random.Random(6101)
     for n in range(1, 8):
         for lo, hi in ((-99, 99), (0, 1)):
-            rows = random_int_matrix(rng, n, lo, hi).rows
-            # a copy of one row, and a copy of one column
-            copied_row = rows + (rows[rng.randrange(n)],)
-            columns = tuple(zip(*rows))
-            copied_column = tuple(zip(*columns, columns[rng.randrange(n)]))
-            for m in (rows, copied_row, copied_column):
-                other = tuple(tuple(rng.randint(lo, hi) for _ in row) for row in m)
-                mt = tuple(zip(*m))
-                for ms in ((m,), (mt,), (m, other), (mt, tuple(zip(*other)))):
-                    table = _twins(*ms)
-                    assert table == _twins_by_definition(*ms)
-                    checked += 1
-                    fired += any(table)
-            # the copied row is twinned with its source on every column mask
-            table = _twins(copied_row)
-            assert all(table[mask] for mask in range(1, 1 << n))
+            for rep in range(2):
+                rows = random_int_matrix(rng, n, lo, hi).rows
+                # a copy of one row (equal rows never beat each other), and
+                # a copy of one column
+                copied_row = rows + (rows[rng.randrange(n)],)
+                columns = tuple(zip(*rows))
+                copied_column = tuple(zip(*columns, columns[rng.randrange(n)]))
+                for base in (rows, copied_row, copied_column):
+                    for m in (base, tuple(zip(*base))):
+                        other = tuple(
+                            tuple(rng.randint(lo, hi) for _ in row) for row in m
+                        )
+                        # the second draw checks the beaten rows alone
+                        for twins in ((), (m,), (m, other))[: 3 - 2 * rep]:
+                            yield m, twins, _ruled_out(m, *twins)
+                yield copied_row, None, _ruled_out(copied_row, copied_row)
+
+
+def test_beaten_table_matches_definition():
+    # the builder's row bits are the beaten rows of the definition, whatever
+    # twin matrices it is given, and with none they are the whole table
+    checked = beaten = 0
+    for m, twins, table in _ruled_out_cases():
+        if twins is None:
+            continue
+        low = (1 << len(m)) - 1
+        beaten_rows = _beaten_by_definition(m)
+        assert [v & low for v in table] == beaten_rows
+        if not twins:
+            assert table == beaten_rows
+        checked += 1
+        beaten += any(v & low for v in table)
+    # all entries equal: no row is beaten
+    same = ((5, 5, 5),) * 4
+    assert _ruled_out(same) == [0] * 8
+    assert _ruled_out(tuple(zip(*same))) == [0] * 16
+    assert _ruled_out(((3, -1, 4),) * 3) == [0] * 8
+    assert checked == 336 and beaten > 250
+
+
+def test_twin_table_matches_definition():
+    # _pairs gives each index its own bit, each pair r < s one bit above
+    # them, and a mask its own bits and the bits of the pairs that lie in it
+    for n in range(1, 9):
+        pairs = _pairs(n)
+        assert [pairs[1 << r] for r in range(n)] == [1 << r for r in range(n)]
+        bits = {
+            (r, s): pairs[1 << r | 1 << s] ^ (1 << r | 1 << s)
+            for s in range(n) for r in range(s)
+        }
+        assert sorted(bits.values()) == [1 << n + b for b in range(len(bits))]
+        assert list(pairs) == [
+            mask + sum(
+                bit for (r, s), bit in bits.items() if mask >> r & 1 and mask >> s & 1
+            )
+            for mask in range(1 << n)
+        ]
+    # the bits above the rows are the twin pairs of the definition
+    checked = twinned = copies = 0
+    for m, twins, table in _ruled_out_cases():
+        if twins is None:
+            # the copied row is twinned with its source on every mask
+            n = len(m) - 1
+            assert all(table[mask] >> n + 1 for mask in range(1, 1 << n))
+            copies += 1
+            continue
+        assert [v >> len(m) << len(m) for v in table] == _twins_by_definition(m, twins)
+        checked += 1
+        twinned += any(v >> len(m) for v in table)
     # all entries equal: every pair is twinned on every nonempty mask
     same = ((5, 5, 5),) * 4
-    assert _twins(same) == [0] + [0b111111] * 7
-    assert _twins(tuple(zip(*same))) == [0] + [0b111] * 15
-    assert checked == 168 and fired > 100
+    assert _ruled_out(same, same) == [0] + [0b111111 << 4] * 7
+    same_t = tuple(zip(*same))
+    assert _ruled_out(same_t, same_t) == [0] + [0b111 << 3] * 15
+    assert checked == 336 and twinned > 100 and copies == 28
 
 
 def test_dominance_skip_keeps_pair_loop_reports(monkeypatch):
@@ -526,11 +603,13 @@ def test_dominance_skip_keeps_pair_loop_reports(monkeypatch):
     # every system the loop asks a side for, counted before that side's
     # memo can answer it, so repeated systems make the bound no easier
     requested = []
-    solve = solving._Side.solve
-    monkeypatch.setattr(
-        solving._Side, "solve",
-        lambda side, *args: requested.append(side.m) or solve(side, *args),
-    )
+    side = solving._side
+
+    def counted_side(columns):
+        solve = side(columns)
+        return lambda *args: requested.append(columns) or solve(*args)
+
+    monkeypatch.setattr(solving, "_side", counted_side)
     solving._enumerate.cache_clear()
     degenerate = 0
     for game in [unequal, *ints, *binary]:
@@ -547,9 +626,9 @@ def test_dominance_skip_keeps_pair_loop_reports(monkeypatch):
     assert degenerate >= 3
     # the skip fires: on the -99..99 games most y systems are never asked
     # for; the count must not be empty, or the bound would show nothing
-    a_rows = {game.A.rows for game in ints}
+    a_columns = {tuple(zip(*game.A.rows)) for game in ints}
     pairs = sum(math.comb(2 * game.n, game.n) - 1 for game in ints)
-    asked = sum(m in a_rows for m in requested)
+    asked = sum(columns in a_columns for columns in requested)
     assert 0 < asked < pairs // 5
 
 
@@ -603,18 +682,24 @@ def test_memoized_sides_match_bordered_pair_loop(monkeypatch):
         IntMatrix([[3, 2, 0], [0, 2, 3], [0, 0, 0]]),
     )
     requested, solved, current = [], [], []
-    solve, solve_key = solving._Side.solve, solving._solve
+    side, solve_key = solving._side, solving._solve
 
-    def checked_solve(side, rows, cols):
-        game = current[-1]
-        # the y side is asked for (I, J) on A, the x side for (J, I) on B^T
-        I, J = (rows, cols) if side.m is game.A.rows else (cols, rows)
-        for m in (game.A.rows, game.B.rows):
-            assert not _repeats_a_line(m, I, J), (I, J)
-        requested.append(1)
-        return solve(side, rows, cols)
+    def checked_side(columns):
+        solve = side(columns)
 
-    monkeypatch.setattr(solving._Side, "solve", checked_solve)
+        def checked_solve(rows, cols):
+            game = current[-1]
+            # the y side is asked for (I, J) on A, the x side, whose
+            # columns are the rows of B, for (J, I) on B^T
+            I, J = (cols, rows) if columns is game.B.rows else (rows, cols)
+            for m in (game.A.rows, game.B.rows):
+                assert not _repeats_a_line(m, I, J), (I, J)
+            requested.append(1)
+            return solve(rows, cols)
+
+        return checked_solve
+
+    monkeypatch.setattr(solving, "_side", checked_side)
     monkeypatch.setattr(
         solving, "_solve", lambda key: solved.append(1) or solve_key(key)
     )
