@@ -94,7 +94,13 @@ class IntMatrix:
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant; the empty 0x0 matrix has determinant 1."""
+    """Exact determinant; the empty 0x0 matrix has determinant 1.
+
+    Two equal rows or a row of zeros make it 0 with no elimination.
+    """
+    rows = set(m.rows)
+    if len(rows) < m.n or (0,) * m.n in rows:
+        return 0
     return eliminate([list(row) for row in m.rows])[0]
 
 

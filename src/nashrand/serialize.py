@@ -189,8 +189,22 @@ def load_distribution(path: str) -> MixedStrategy:
 
 
 def dumps_profile(profile: Profile) -> str:
-    obj = {"x": strategy_to_json(profile.x), "y": strategy_to_json(profile.y)}
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps`` of both players' ``strategy_to_json``, indent 2, byte for byte.
+
+    The shape is fixed and every value is a string of digits, which JSON
+    writes between quotes as it is, so the text is put together directly
+    rather than through the encoder.
+    """
+    return "{\n" + _strategy_block("x", profile.x, ",") + _strategy_block(
+        "y", profile.y, "") + "}\n"
+
+
+def _strategy_block(name: str, x: MixedStrategy, end: str) -> str:
+    nums = '",\n      "'.join(map(decimal_str, x.numerators))
+    return (
+        f'  "{name}": {{\n    "numerators": [\n      "{nums}"\n    ],\n'
+        f'    "denominator": "{decimal_str(x.denominator)}"\n  }}{end}\n'
+    )
 
 
 def parse_profile(text: str) -> Profile:

@@ -15,21 +15,31 @@ game; a degeneracy flag is raised whenever evidence to the contrary shows
 up (an off-support pure strategy tied with the support payoff, or a
 solved support coordinate landing on zero).
 
-A side solves k x k systems, not the bordered (k + 1) x (k + 1) ones, and
-each distinct system once.  Write m for the side's matrix, R for the k
-rows of m[I][J] and r0 for one of them.
+A side solves (k - 1) x (k - 1) systems, not the bordered (k + 1) x (k + 1)
+ones, and each distinct system once.  Write m for the side's matrix, R for
+the k rows of m[I][J], r0 for one of them, and t_r = r[k-1] - r0[k-1] and
+N_r[j] = r[j] - r0[j] - t_r (j < k - 1) for each other row r.
 
-    The k x k reduction.  Subtracting row r0 of the bordered system
+    The row step.  Subtracting row r0 of the bordered system
         [R -1; 1^T 0] from every other row of R leaves rows
-        (m[r][J] - r0, 0) for r != r0, row (r0, -1) and the row (1^T, 0).
+        (r - r0, 0) for r != r0, row (r0, -1) and the row (1^T, 0).
         Expanding along the last column, whose one nonzero is the -1 of
         row r0, gives det[R -1; 1^T 0] = +-det D, where D is the k x k
-        matrix of the rows m[r][J] - r0 and 1^T.  So the two systems are
+        matrix of the rows r - r0 and 1^T.  So the two systems are
         singular together.  Otherwise both have the one solution z with
         D z = e_k, where e_k is the unit vector on the ones row, and the
-        value is v = r0 . z.  ``eliminate`` returns d = det and d z, so
-        once d is made positive, z's integers and d equal the bordered
-        solve's.
+        value is v = r0 . z.
+    The column step.  Subtracting the last column of D from every other
+        column keeps the determinant and leaves the rows (N_r, t_r) and the
+        ones row (0, ..., 0, 1); expanding along that row gives det D =
+        det N, with N the (k - 1) x (k - 1) matrix of the rows N_r.  In the
+        unknowns the step is the substitution z[k-1] = 1 - sum z', with z'
+        the first k - 1 coordinates, and the rows r - r0 then read
+        N z' = -t.  ``eliminate(N, -t)`` returns d = det N and
+        w = adj(N) (-t) = d z', so d z = (w, d - sum w) = adj(D) e_k,
+        integer for integer.  Once d is made positive, z's integers and d
+        equal the bordered solve's.  k = 1 leaves the empty system: d = 1
+        and z = (1,).
     The order-free key.  Permuting the rows of R permutes the rows of
         the bordered system, which changes only the sign of its
         determinant, and that sign is made positive.  So (d, d z, d v)
@@ -157,7 +167,7 @@ DEFAULT_MAX_N = 10
 
 Rows = tuple[tuple[int, ...], ...]
 Support = tuple[int, ...]
-Solution = tuple[int, list[int], bool]
+Solution = tuple[int, tuple[int, ...], bool]
 
 
 @dataclass(frozen=True)
@@ -230,28 +240,35 @@ def _enumerate(game: Game) -> SolveReport:
     equilibria: list[Profile] = []
     degenerate = False
     for k in range(1, n + 1):
+        supports = combinations(range(n), k)
         masks = map(sum, combinations(bits, k))
-        level = ((S, m, test[m]) for S, m in zip(combinations(range(n), k), masks))
-        # imitation games visit each support once, so theirs stays lazy
-        level = level if imitation else list(level)
-        solve_x = _side(b)
-        if not imitation:
-            solve_y = _side(at)
-        uniform_y = (k, [1] * k, False)
-        for I, i_mask, i_test in level:
+        if imitation:
+            # y is uniform on S whatever is asked; the level stays lazy,
+            # since each support is visited once
+            uniform = lambda rows, y=(k, (1,) * k, False): y
+            level = ((S, m, test[m], uniform) for S, m in zip(supports, masks))
+        else:
+            # J recurs across I, so each J's restricted rows are kept
+            side_y = _side(at)
+            level = [(J, m, test[m], side_y(J)) for J, m in zip(supports, masks)]
+        side_x = _side(b)
+        for I, i_mask, i_test, i_y in level:
             i_dead = x_dead[i_mask]
             if imitation:
-                pairs = [] if i_dead & i_test else [I]
+                pairs = [] if i_dead & i_test else [(I, i_y)]
             else:
                 pairs = [
-                    J for J, j_mask, j_test in level
+                    (J, solve_y) for J, j_mask, j_test, solve_y in level
                     if not i_dead & j_test and not y_dead[j_mask] & i_test
                 ]
-            for J in pairs:
-                y = uniform_y if imitation else solve_y(I, J)
+            if not pairs:
+                continue
+            solve_x = side_x(I)
+            for J, solve_y in pairs:
+                y = solve_y(I)
                 if y is None:
                     continue
-                x = solve_x(J, I)
+                x = solve_x(J)
                 if x is None:
                     continue
                 (dy, yv, y_ties), (dx, xv, x_ties) = y, x
@@ -350,79 +367,91 @@ def _full_support(n: int, a: Rows, bt: Rows) -> Profile | None:
     return Profile(_strategy(n, full, x[1], x[0]), _strategy(n, full, y[1], y[0]))
 
 
-def _side(columns: Rows) -> Callable[[Support, Support], Solution | None]:
+def _side(columns: Rows) -> Callable[[Support], Callable[[Support], Solution | None]]:
     """One player side's indifference systems at one support size.
 
-    ``columns`` are the columns of the side's matrix m.  The returned
-    ``solve(rows, cols)`` gives the strategy on ``cols`` that makes
-    ``rows`` of m indifferent, as ``(d, z, ties)``: probabilities z_c / d
-    with d > 0 (so sum(z) == d), and whether an off-support row of m ties
-    the support payoff.  None when the system is singular, a coordinate is
-    negative, or an off-support row pays more.
+    ``columns`` are the columns of the side's matrix m.  ``_side(columns)``
+    returns ``restrict(cols)``, which returns ``solve(rows)``: the strategy
+    on ``cols`` that makes ``rows`` of m indifferent, as ``(d, z, ties)``,
+    with probabilities z_c / d, d > 0 (so sum(z) == d), and whether an
+    off-support row of m ties the support payoff.  None when the system is
+    singular, a coordinate is negative, or an off-support row pays more.
+    Every row of m is restricted to ``cols`` on the first call, once, and
+    kept as long as the caller keeps ``solve``: the loop keeps one per J
+    on the y side, where J recurs across I, and one at a time on the x
+    side, where I is fixed over its pairs.
 
     The system depends only on the rows of m restricted to ``cols``, in
     any order (module docstring), so each distinct one is solved once, by
-    ``_solve``, and kept under the sorted tuple of those rows, next to the
-    restricted rows of m for each ``cols``.  Each support size gets a
-    fresh side: keys of different sizes never match, so what one size
-    keeps can never answer another, and dropping it bounds the memo by one
-    size's systems (a memo kept for the whole game measured +15 MB RSS on
-    a random binary n = 10 game).  The off-support check runs on every
-    call, since it depends on which rows are off.
+    ``_solve``, and kept under the sorted tuple of those rows.  Each
+    support size gets a fresh side: keys of different sizes never match,
+    so what one size keeps can never answer another, and dropping it
+    bounds the memo by one size's systems (a memo kept for the whole game
+    measured +15 MB RSS on a random binary n = 10 game).  The off-support
+    check runs on every call, since it depends on which rows are off.
     """
-    projections: dict[Support, list[Support]] = {}
-    solved: dict[Rows, tuple[int, list[int], int] | None] = {}
+    solved: dict[Rows, tuple[int, tuple[int, ...], int] | None] = {}
 
-    def solve(rows: Support, cols: Support) -> Solution | None:
-        projection = projections.get(cols)
-        if projection is None:
-            # row r of m restricted to cols, for every r
-            projection = projections[cols] = list(zip(*map(columns.__getitem__, cols)))
-        key = tuple(sorted([projection[r] for r in rows]))
-        system = solved.get(key, False)
-        if system is False:
-            system = solved[key] = _solve(key)
-        if system is None:
-            return None
-        d, z, value = system
-        ties = False
-        for r, row in enumerate(projection):
-            if r in rows:
-                continue
-            payoff = sum(map(mul, row, z))
-            if payoff > value:
+    def restrict(cols: Support) -> Callable[[Support], Solution | None]:
+        # row r of m restricted to cols, for every r, built on the first call
+        projection: list[tuple[int, ...]] = []
+
+        def solve(rows: Support) -> Solution | None:
+            if not projection:
+                projection.extend(zip(*map(columns.__getitem__, cols)))
+            key = tuple(sorted([projection[r] for r in rows]))
+            system = solved.get(key, False)
+            if system is False:
+                system = solved[key] = _solve(key)
+            if system is None:
                 return None
-            if payoff == value:
-                ties = True
-        return d, z, ties
+            d, z, value = system
+            ties = False
+            for r, row in enumerate(projection):
+                if r in rows:
+                    continue
+                payoff = sum(map(mul, row, z))
+                if payoff > value:
+                    return None
+                if payoff == value:
+                    ties = True
+            return d, z, ties
 
-    return solve
+        return solve
+
+    return restrict
 
 
-def _solve(key: Rows) -> tuple[int, list[int], int] | None:
-    """The k x k indifference system on the restricted rows ``key``.
+def _solve(key: Rows) -> tuple[int, tuple[int, ...], int] | None:
+    """The (k - 1) x (k - 1) indifference system on the restricted rows ``key``.
 
     Returns ``(d, z, value)`` with d > 0, z_c / d the probabilities and
     value / d the support payoff, or None when the system is singular or a
-    coordinate is negative.
+    coordinate is negative.  It eliminates N with right-hand side -t, the
+    system the column step in the module docstring leaves; k = 1 gives the
+    empty system, d = 1 and z = (1,).
     """
     r0 = key[0]
-    k = len(r0)
-    system = [[v - w for v, w in zip(row, r0)] for row in key[1:]]
-    system.append([1] * k)
-    d, z = eliminate(system, [0] * (k - 1) + [1])
-    if not d:
-        return None
+    head, last = r0[:-1], r0[-1]
+    system, rhs = [], []
+    for row in key[1:]:
+        t = row[-1] - last
+        system.append([v - w - t for v, w in zip(row, head)])
+        rhs.append(-t)
+    d, w = eliminate(system, rhs)
     if d < 0:
-        d = -d
-        z = [-t for t in z]
-    if any(t < 0 for t in z):
+        d, w = -d, [-t for t in w]
+    elif not d:
         return None
-    return d, z, sum(map(mul, r0, z))
+    w.append(d - sum(w))
+    if min(w) < 0:
+        return None
+    # a tuple is exact-size, where the list has grown; the memo keeps it
+    return d, tuple(w), sum(map(mul, r0, w))
 
 
 def _strategy(
-    n: int, support: Iterable[int], z: list[int], d: int
+    n: int, support: Iterable[int], z: tuple[int, ...], d: int
 ) -> MixedStrategy:
     """The canonical strategy z / d on ``support``; needs sum(z) == d > 0."""
     g = math.gcd(*z)

@@ -222,6 +222,34 @@ def cofactor_sum_definition(m: IntMatrix) -> int:
     return sum(det(replace_column(m, i, ones)) for i in range(1, m.n + 1))
 
 
+def bordered_fraction_solve(
+    rows: Rows,
+) -> tuple[Fraction, list[Fraction], Fraction] | None:
+    """The bordered system [R -1; 1^T 0] [z; v] = [0; 1] on the k rows of
+    ``rows``, by Gauss-Jordan elimination over Fractions, with no integer
+    kernel.  Returns (|det|, z, v), or None when the system is singular."""
+    k = len(rows)
+    m = [[Fraction(v) for v in row] + [Fraction(-1), Fraction(0)] for row in rows]
+    m.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
+    size = k + 1
+    det_value = Fraction(1)
+    for c in range(size):
+        p = next((r for r in range(c, size) if m[r][c]), None)
+        if p is None:
+            return None
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det_value = -det_value
+        pivot = m[c][c]
+        det_value *= pivot
+        m[c] = [v / pivot for v in m[c]]
+        for r in range(size):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [v - f * w for v, w in zip(m[r], m[c])]
+    return abs(det_value), [m[r][size] for r in range(k)], m[k][size]
+
+
 def mat_vec(m: IntMatrix, v: Sequence) -> tuple[Fraction, ...]:
     """m @ v with exact rationals."""
     return tuple(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -463,6 +464,39 @@ def test_decimal_str_matches_decimal():
     # an all-zero middle chunk
     for v in (0, 1, 10**511, 10**512 - 1, 10**512, 10**512 + 1, 10**1024 + 5, 3**20000):
         assert decimal_str(v) == str(Decimal(v))
+
+
+def test_dumps_profile_matches_the_json_encoder():
+    # the direct writer against json.dumps(..., indent=2) of the same objects:
+    # seeded profiles with n = 1..8, point masses, and numerators past the
+    # interpreter's 4,300-digit limit (so the writer never calls str() on them)
+    from nashrand.games import Profile
+
+    def encoded(p: Profile) -> str:
+        obj = {"x": strategy_to_json(p.x), "y": strategy_to_json(p.y)}
+        return json.dumps(obj, indent=2) + "\n"
+
+    def strategy(nums: list[int]) -> MixedStrategy:
+        g = math.gcd(*nums)
+        return MixedStrategy(tuple(v // g for v in nums), sum(nums) // g)
+
+    rng = random.Random(4401)
+    profiles = [
+        Profile(MixedStrategy((1,), 1), MixedStrategy((1,), 1)),
+        Profile(MixedStrategy((0, 1, 0), 1), MixedStrategy((1, 0, 0), 1)),
+        beta_ne(40)[0],
+        Profile(strategy([10**4400 + 7, 3]), strategy([1, 1])),
+    ]
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        x, y = ([rng.randint(0, 10 ** rng.randint(1, 40)) for _ in range(n)]
+                for _ in "xy")
+        x[rng.randrange(n)] += 1
+        y[rng.randrange(n)] += 1
+        profiles.append(Profile(strategy(x), strategy(y)))
+    for p in profiles:
+        assert dumps_profile(p) == encoded(p)
+    assert len(decimal_str(profiles[3].x.denominator)) > 4300
 
 
 def _large_payoff_game(path) -> None:

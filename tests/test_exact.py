@@ -73,6 +73,41 @@ def test_det_bordered_banded_eight():
     assert abs(value) == 9
 
 
+def test_det_shortcut_on_repeated_and_zero_rows(monkeypatch):
+    # det returns 0 with no elimination on two equal rows or a zero row; on
+    # seeded 0/1 and -1..1 matrices with n = 0..6, a third of them with a
+    # copied row and a third with a zeroed one, it must equal eliminate and
+    # the cofactor expansion everywhere, and eliminate only the others
+    from nashrand import exact
+
+    kernel, eliminated = exact.eliminate, []
+    monkeypatch.setattr(
+        exact, "eliminate", lambda a, *rhs: eliminated.append(1) or kernel(a, *rhs)
+    )
+    rng = random.Random(6007)
+    shortcut = nonzero = 0
+    for n in range(7):
+        for lo in (0, -1):
+            for case in range(60):
+                rows = [[rng.randint(lo, 1) for _ in range(n)] for _ in range(n)]
+                if n and case % 3 == 1:
+                    rows[rng.randrange(n)] = [0] * n
+                elif n > 1 and case % 3 == 2:
+                    src, dst = rng.sample(range(n), 2)
+                    rows[dst] = list(rows[src])
+                m = IntMatrix(rows)
+                before = len(eliminated)
+                value = det(m)
+                skipped = len(set(m.rows)) < n or [0] * n in rows
+                assert len(eliminated) - before == (not skipped)
+                assert value == kernel([list(r) for r in rows])[0]
+                assert value == det_cofactor_expansion(m)
+                shortcut += skipped
+                nonzero += value != 0
+    assert det(IntMatrix(())) == 1
+    assert shortcut > 400 and nonzero > 200
+
+
 def test_det_matches_cofactor_expansion_on_random_matrices():
     rng = random.Random(101)
     for _ in range(60):

@@ -10,6 +10,7 @@ from conftest import (
     X1_NUMERATORS,
     Y2_NUMERATORS,
     binary_blocks,
+    bordered_fraction_solve,
     canonicalize,
     coordination_game,
     enumerate_pairs,
@@ -41,6 +42,7 @@ from nashrand.solving import (
     _certify,
     _pairs,
     _ruled_out,
+    _solve,
     bounded_ne_exists,
     complexity_upper_bound,
     fully_mixed_ne,
@@ -606,8 +608,13 @@ def test_dominance_skip_keeps_pair_loop_reports(monkeypatch):
     side = solving._side
 
     def counted_side(columns):
-        solve = side(columns)
-        return lambda *args: requested.append(columns) or solve(*args)
+        restrict = side(columns)
+
+        def counted_restrict(cols):
+            solve = restrict(cols)
+            return lambda rows: requested.append(columns) or solve(rows)
+
+        return counted_restrict
 
     monkeypatch.setattr(solving, "_side", counted_side)
     solving._enumerate.cache_clear()
@@ -651,9 +658,9 @@ def _repeats_a_line(m, rows, cols) -> bool:
 
 
 def test_memoized_sides_match_bordered_pair_loop(monkeypatch):
-    # Each side solves a distinct k x k system once per support size and
-    # answers repeats from its memo; the oracle solves every pair's
-    # bordered (k+1) x (k+1) system afresh.  Every corpus here repeats
+    # Each side solves a distinct (k-1) x (k-1) system once per support
+    # size and answers repeats from its memo; the oracle solves every
+    # pair's bordered (k+1) x (k+1) system afresh.  Every corpus here repeats
     # systems: 0/1 and -1..1 entries, a copied row or column, dummy
     # strategies padded onto the paper games, and the 3x3 game whose
     # extreme equilibria have unequal supports.  The same corpora are full
@@ -685,19 +692,24 @@ def test_memoized_sides_match_bordered_pair_loop(monkeypatch):
     side, solve_key = solving._side, solving._solve
 
     def checked_side(columns):
-        solve = side(columns)
+        restrict = side(columns)
 
-        def checked_solve(rows, cols):
-            game = current[-1]
-            # the y side is asked for (I, J) on A, the x side, whose
-            # columns are the rows of B, for (J, I) on B^T
-            I, J = (cols, rows) if columns is game.B.rows else (rows, cols)
-            for m in (game.A.rows, game.B.rows):
-                assert not _repeats_a_line(m, I, J), (I, J)
-            requested.append(1)
-            return solve(rows, cols)
+        def checked_restrict(cols):
+            solve = restrict(cols)
 
-        return checked_solve
+            def checked_solve(rows):
+                game = current[-1]
+                # the y side is asked for (I, J) on A, the x side, whose
+                # columns are the rows of B, for (J, I) on B^T
+                I, J = (cols, rows) if columns is game.B.rows else (rows, cols)
+                for m in (game.A.rows, game.B.rows):
+                    assert not _repeats_a_line(m, I, J), (I, J)
+                requested.append(1)
+                return solve(rows)
+
+            return checked_solve
+
+        return checked_restrict
 
     monkeypatch.setattr(solving, "_side", checked_side)
     monkeypatch.setattr(
@@ -720,6 +732,64 @@ def test_memoized_sides_match_bordered_pair_loop(monkeypatch):
         if name in corpora:
             assert len(solved) - fresh < len(requested) - asked, name
     assert degenerate > 20
+
+
+def _solve_keys(rng: random.Random, k: int) -> list[tuple[str, tuple]]:
+    """Keys of k rows over k columns, each tagged with what it is built to be:
+    random small or wide entries, singular ones (a copied row, a copied
+    column, or every row the same), ones whose solution has a zero
+    coordinate (rows paying the same against (0, 1, ..., 1)), and ones
+    shifted by a constant, which moves the value but not the solution."""
+    keys = []
+    for lo, hi in ((-1, 1), (0, 1), (-9, 9), (-10**12, 10**12)):
+        for _ in range(6):
+            rows = [[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)]
+            keys.append(("random", rows))
+    if k > 1:
+        rows = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        src, dst = rng.sample(range(k), 2)
+        keys.append(("singular", [*rows[:dst], rows[src], *rows[dst + 1:]]))
+        rows = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        copied = [[*row[:dst], row[src], *row[dst + 1:]] for row in rows]
+        keys.append(("singular", copied))
+        keys.append(("singular", [rows[0]] * k))
+        value = rng.randint(-20, 20)
+        rows = [[rng.randint(-9, 9) for _ in range(k - 1)] for _ in range(k)]
+        keys.append(("zero", [[*row, value - sum(row[1:])] for row in rows]))
+    shift = rng.randint(-50, 50)
+    keys.append(("shifted", [[v + shift for v in row] for row in keys[-1][1]]))
+    return [(kind, tuple(map(tuple, rows))) for kind, rows in keys]
+
+
+def test_solve_matches_bordered_fraction_solve():
+    # _solve's (k - 1) x (k - 1) system against the bordered (k + 1) x (k + 1)
+    # one over Fractions, for k = 1..7: singular together, and otherwise
+    # d = |det| of the bordered system, z = d times its solution integer for
+    # integer, and the value; None exactly when a coordinate is negative
+    rng = random.Random(7121)
+    seen = {"singular": 0, "negative": 0, "zero": 0, "positive": 0}
+    for k in range(1, 8):
+        for kind, key in _solve_keys(rng, k):
+            expected = bordered_fraction_solve(key)
+            got = _solve(key)
+            if expected is None:
+                assert got is None, key
+                seen["singular"] += 1
+                continue
+            size, z, value = expected
+            assert size.denominator == 1, key
+            if min(z) < 0:
+                assert got is None, key
+                seen["negative"] += 1
+                continue
+            d, w, scaled_value = got
+            assert d == size and list(w) == [t * d for t in z], key
+            assert scaled_value == value * d and sum(w) == d, key
+            seen["zero" if 0 in w else "positive"] += 1
+            assert kind != "zero" or w[0] == 0, key
+    # k = 1 is the empty system: d = 1, z = (1,), the value the one payoff
+    assert _solve(((-7,),)) == (1, (1,), -7)
+    assert all(count >= 15 for count in seen.values()), seen
 
 
 def _bordered_full_support(game: Game) -> Profile | None:
