@@ -358,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "solve", help="enumerate equilibria over equal-size supports "
-        "(an incomplete answer is flagged degenerate)")
+        "(a set degenerate flag means degeneracy was seen; an unset one "
+        "proves nothing)")
     p.add_argument("game", help="game JSON file")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")

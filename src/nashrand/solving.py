@@ -7,13 +7,18 @@ two indifference systems are solved exactly, once per player side:
     sum_{i in I} x_i B_{ i j } = u   for j in J,   sum x_i = 1
 
 The column player's y comes from (A, I, J), the row player's x from
-(B^T, J, I); in the loop each side is one ``_side`` per support size.  A
+(B^T, J, I).  On each side ``_project`` restricts every row of the side's
+matrix to the other support, and ``_answer`` solves the system of this
+support's rows, through a memo (below), and checks the rows off it.  A
 candidate is accepted when both solutions are strictly positive on their
 nominal supports and no off-support pure strategy beats the support
 payoff.  Equal-size supports capture every equilibrium of a nondegenerate
-game; a degeneracy flag is raised whenever evidence to the contrary shows
-up (an off-support pure strategy tied with the support payoff, or a
-solved support coordinate landing on zero).
+game; a degeneracy flag is raised when a pair whose two sides both solve
+shows evidence to the contrary (an off-support pure strategy tied with
+the support payoff, or a solved support coordinate landing on zero).  So
+a set flag means degeneracy was seen, and an unset flag proves nothing:
+a degenerate game can hold that evidence only on pairs with a singular
+side.
 
 A side solves (k - 1) x (k - 1) systems, not the bordered (k + 1) x (k + 1)
 ones, and each distinct system once.  Write m for the side's matrix, R for
@@ -49,6 +54,15 @@ N_r[j] = r[j] - r0[j] - t_r (j < k - 1) for each other row r.
         rows (repeated rows or columns, entries from a small set) share
         one solve.  Which rows lie off the support does depend on I, so
         the off-support check runs on every pair.
+
+What the loop keeps, and for how long: each side's memo of solved
+systems (``x_solved``, ``y_solved``) and each J's y projection
+(``y_rows``, built the first time a pair asks for it) last one support
+size, and the x projection lasts one I, which is fixed over its pairs.
+Keys of different sizes never match, so what one size keeps can never
+answer another, and dropping it bounds the memo by one size's systems (a
+memo kept for the whole game measured +15 MB RSS on a random binary
+n = 10 game).
 
 Before a pair is solved, it is skipped when strict conditional dominance
 (Porter, Nudelman and Shoham, "Simple search methods for finding a Nash
@@ -151,7 +165,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
 from operator import eq, gt, mul
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import DimensionTooLarge, NoEquilibriumFound
 from .exact import eliminate
@@ -240,35 +254,31 @@ def _enumerate(game: Game) -> SolveReport:
     equilibria: list[Profile] = []
     degenerate = False
     for k in range(1, n + 1):
-        supports = combinations(range(n), k)
-        masks = map(sum, combinations(bits, k))
-        if imitation:
-            # y is uniform on S whatever is asked; the level stays lazy,
-            # since each support is visited once
-            uniform = lambda rows, y=(k, (1,) * k, False): y
-            level = ((S, m, test[m], uniform) for S, m in zip(supports, masks))
-        else:
-            # J recurs across I, so each J's restricted rows are kept
-            side_y = _side(at)
-            level = [(J, m, test[m], side_y(J)) for J, m in zip(supports, masks)]
-        side_x = _side(b)
-        for I, i_mask, i_test, i_y in level:
-            i_dead = x_dead[i_mask]
+        level = list(zip(combinations(range(n), k), map(sum, combinations(bits, k))))
+        x_solved, y_solved, y_rows = {}, {}, {}
+        for I, i_mask in level:
+            i_dead, i_test = x_dead[i_mask], test[i_mask]
             if imitation:
-                pairs = [] if i_dead & i_test else [(I, i_y)]
+                pairs = [] if i_dead & i_test else [I]
             else:
                 pairs = [
-                    (J, solve_y) for J, j_mask, j_test, solve_y in level
-                    if not i_dead & j_test and not y_dead[j_mask] & i_test
+                    J for J, j_mask in level
+                    if not i_dead & test[j_mask] and not y_dead[j_mask] & i_test
                 ]
             if not pairs:
                 continue
-            solve_x = side_x(I)
-            for J, solve_y in pairs:
-                y = solve_y(I)
-                if y is None:
-                    continue
-                x = solve_x(J)
+            x_rows = _project(b, I)
+            for J in pairs:
+                if imitation:
+                    # J = I, and y is uniform on it (module docstring)
+                    y = k, (1,) * k, False
+                else:
+                    if J not in y_rows:
+                        y_rows[J] = _project(at, J)
+                    y = _answer(y_rows[J], I, y_solved)
+                    if y is None:
+                        continue
+                x = _answer(x_rows, J, x_solved)
                 if x is None:
                     continue
                 (dy, yv, y_ties), (dx, xv, x_ties) = y, x
@@ -355,7 +365,7 @@ def _full_support(n: int, a: Rows, bt: Rows) -> Profile | None:
     positive solutions, else None.  Such a profile leaves no pure strategy
     off the support, so it is an equilibrium.  Each side's system is asked
     for once and has no off-support row to check, so ``_solve`` takes it
-    straight, in any row order (module docstring), with no ``_side``.
+    straight, in any row order (module docstring), with no ``_answer``.
     """
     y = _solve(a)
     if y is None or 0 in y[1]:
@@ -367,59 +377,42 @@ def _full_support(n: int, a: Rows, bt: Rows) -> Profile | None:
     return Profile(_strategy(n, full, x[1], x[0]), _strategy(n, full, y[1], y[0]))
 
 
-def _side(columns: Rows) -> Callable[[Support], Callable[[Support], Solution | None]]:
-    """One player side's indifference systems at one support size.
+def _project(columns: Rows, cols: Support) -> list[tuple[int, ...]]:
+    """Every row of a side's matrix, restricted to ``cols``, from its ``columns``."""
+    return list(zip(*map(columns.__getitem__, cols)))
 
-    ``columns`` are the columns of the side's matrix m.  ``_side(columns)``
-    returns ``restrict(cols)``, which returns ``solve(rows)``: the strategy
-    on ``cols`` that makes ``rows`` of m indifferent, as ``(d, z, ties)``,
+
+def _answer(
+    rows: list[tuple[int, ...]],
+    support: Support,
+    solved: dict[Rows, tuple[int, tuple[int, ...], int] | None],
+) -> Solution | None:
+    """The strategy that makes the ``support`` rows of ``rows`` indifferent.
+
+    ``rows`` is a ``_project`` of the side's matrix.  Returns ``(d, z, ties)``,
     with probabilities z_c / d, d > 0 (so sum(z) == d), and whether an
-    off-support row of m ties the support payoff.  None when the system is
+    off-support row ties the support payoff; None when the system is
     singular, a coordinate is negative, or an off-support row pays more.
-    Every row of m is restricted to ``cols`` on the first call, once, and
-    kept as long as the caller keeps ``solve``: the loop keeps one per J
-    on the y side, where J recurs across I, and one at a time on the x
-    side, where I is fixed over its pairs.
-
-    The system depends only on the rows of m restricted to ``cols``, in
-    any order (module docstring), so each distinct one is solved once, by
-    ``_solve``, and kept under the sorted tuple of those rows.  Each
-    support size gets a fresh side: keys of different sizes never match,
-    so what one size keeps can never answer another, and dropping it
-    bounds the memo by one size's systems (a memo kept for the whole game
-    measured +15 MB RSS on a random binary n = 10 game).  The off-support
-    check runs on every call, since it depends on which rows are off.
+    The system is looked up in ``solved`` under the sorted tuple of the
+    support rows and solved by ``_solve`` on a miss (module docstring).
     """
-    solved: dict[Rows, tuple[int, tuple[int, ...], int] | None] = {}
-
-    def restrict(cols: Support) -> Callable[[Support], Solution | None]:
-        # row r of m restricted to cols, for every r, built on the first call
-        projection: list[tuple[int, ...]] = []
-
-        def solve(rows: Support) -> Solution | None:
-            if not projection:
-                projection.extend(zip(*map(columns.__getitem__, cols)))
-            key = tuple(sorted([projection[r] for r in rows]))
-            system = solved.get(key, False)
-            if system is False:
-                system = solved[key] = _solve(key)
-            if system is None:
-                return None
-            d, z, value = system
-            ties = False
-            for r, row in enumerate(projection):
-                if r in rows:
-                    continue
-                payoff = sum(map(mul, row, z))
-                if payoff > value:
-                    return None
-                if payoff == value:
-                    ties = True
-            return d, z, ties
-
-        return solve
-
-    return restrict
+    key = tuple(sorted([rows[r] for r in support]))
+    system = solved.get(key, False)
+    if system is False:
+        system = solved[key] = _solve(key)
+    if system is None:
+        return None
+    d, z, value = system
+    ties = False
+    for r, row in enumerate(rows):
+        if r in support:
+            continue
+        payoff = sum(map(mul, row, z))
+        if payoff > value:
+            return None
+        if payoff == value:
+            ties = True
+    return d, z, ties
 
 
 def _solve(key: Rows) -> tuple[int, tuple[int, ...], int] | None:
@@ -486,9 +479,9 @@ def bounded_ne_exists(game: Game, c1: int, c2: int) -> bool:
 
     True when an equilibrium found by ``support_enumeration``, at its
     default limit, lies within the caps c1, c2.  Only equal-size supports
-    are searched, so on a game whose report is flagged degenerate a False
-    can miss an equilibrium with unequal supports; an incomplete answer is
-    always flagged that way.
+    are searched, so a False can miss an equilibrium.  The report's
+    degeneracy flag does not settle it: a set flag means degeneracy was
+    seen, and an unset flag proves nothing (module docstring).
     """
     if c1 < 1 or c2 < 1:
         raise ValueError("capabilities must be >= 1")
