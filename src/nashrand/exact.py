@@ -36,6 +36,27 @@ are unchanged bit for bit, while a banded or block-shifted row costs its
 span rather than n.  The right-hand side is held apart in a vector of its
 own, so an all-ones rhs widens no row.
 
+A zero lead at step k is met by a rotation, not a swap: the first row
+s > k with a nonzero lead moves up to place k and rows k .. s-1 move down
+by one place, each row taking its base, its extent and its rhs entry along.
+Both invariants are facts about a row's stored entries, not about its place,
+so they still hold after the move; and only rows k .. s move, all below the
+finished rows 0 .. k-1, so the triangle built so far is untouched.  A
+rotation over s - k places is s - k adjacent swaps, so it flips the sign of
+the determinant exactly when s - k is odd.
+
+A rotation also keeps a row-shifted block diagonal free of fill-in.  In the
+prime-block B each block sits one column right of the diagonal, so every
+diagonal entry is zero and only the border row, last, has a nonzero first
+entry.  Rotating it to the top moves every other row down one place, which
+puts each block on the diagonal.  Bareiss on a block diagonal updates a row
+only from a pivot row of its own block, since the rows of other blocks are
+zero in the pivot column, and only over that block's columns, since both
+rows' extents end there; so no entry outside the blocks turns nonzero, and
+B costs what its blocks cost one at a time.  A swap would instead send the
+first block's first row to the bottom, and from there it fills in the next
+block, and so on down the chain of blocks.
+
 The cofactor sum K(M) = 1^T adj(M) 1 comes from the same kernel by the
 matrix determinant lemma det(M + 1 1^T) = det(M) + 1^T adj(M) 1: when
 det(M) != 0 it is the entry sum of adj(M) @ 1, and otherwise it is
@@ -111,7 +132,7 @@ def eliminate(
 
     Returns ``(det(a), y)``.  When ``rhs`` is given and det(a) != 0, y is the
     integer vector adj(a) @ rhs, so x = y / det(a) solves ``a @ x = rhs``;
-    otherwise y is None.  Mutates ``a`` (rows are swapped and rescaled in
+    otherwise y is None.  Mutates ``a`` (rows are moved and rescaled in
     place); ``rhs`` is copied into a vector of its own and left untouched.
 
     The list-of-lists surface lets support enumeration call this directly
@@ -120,7 +141,9 @@ def eliminate(
     Rows whose lead is zero at step k are left unscaled, and each row is
     updated only over its extent, as the module docstring describes.  A
     zero test on an unscaled row is still exact, because the skipped factor
-    is nonzero.  Row swaps carry ``base``, ``ends`` and the rhs along.
+    is nonzero.  At a zero lead the first row below with a nonzero lead
+    rotates up to the pivot place, carrying its ``base``, ``ends`` and rhs
+    entry, and the rows it passes move down by one with theirs.
     """
     n = len(a)
     solve = rhs is not None
@@ -134,16 +157,18 @@ def eliminate(
         if not row_k[k]:
             for s in range(k + 1, n):
                 if a[s][k]:
-                    a[k], a[s] = a[s], row_k
-                    base[k], base[s] = base[s], base[k]
-                    ends[k], ends[s] = ends[s], ends[k]
-                    if solve:
-                        r[k], r[s] = r[s], r[k]
-                    row_k = a[k]
-                    sign = -sign
                     break
             else:
                 return 0, None
+            # rotate row s up to k; rows k .. s-1 each move down by one
+            row_k = a.pop(s)
+            a.insert(k, row_k)
+            base.insert(k, base.pop(s))
+            ends.insert(k, ends.pop(s))
+            if solve:
+                r.insert(k, r.pop(s))
+            if (s - k) & 1:
+                sign = -sign
         end = ends[k]
         while not row_k[end - 1]:  # stops at the pivot, row_k[k] != 0
             end -= 1

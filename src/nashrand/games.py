@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from .errors import DimensionMismatch, NotADistribution
 from .exact import IntMatrix
@@ -99,9 +99,9 @@ class Game:
         if not self.A.n:
             raise ValueError("a game needs at least one strategy per player")
         if self.constant_sum is not None:
-            u = self.constant_sum
+            u = {self.constant_sum}
             for ra, rb in zip(self.A.rows, self.B.rows):
-                if any(a + b != u for a, b in zip(ra, rb)):
+                if {*map(add, ra, rb)} != u:
                     raise ValueError("constant_sum tag does not match payoffs")
 
     @property

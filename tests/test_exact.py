@@ -117,8 +117,9 @@ def test_det_matches_cofactor_expansion_on_random_matrices():
 
 # Zero-lead patterns worked by hand.  In the first, the second row is skipped
 # at the first step and rescaled by the pivot 2 when it becomes the pivot
-# row; in the second, two skipped rows are swapped, and the last row is
-# rescaled by the pivot 6.
+# row; in the second, both rows are skipped at the first step, at the second
+# the third row rotates up past the second (a one-row rotation, which is a
+# swap), and the last row is rescaled by the pivot 6.
 DEFERRED_CASES = (
     ((2, 1, 0), (0, 3, 1), (1, 1, 1)),
     ((2, 0, 1), (0, 0, 1), (0, 3, 0)),
@@ -138,9 +139,9 @@ def _random_rows(rng: random.Random, n: int, density: float) -> list[list[int]]:
 
 def _kernel_cases(rng: random.Random) -> list[IntMatrix]:
     """Matrices up to 8x8: dense and sparse, upper triangular with shuffled
-    rows (zero leads that force row swaps and deferred rescaling), singular
-    ones (a row that is a multiple of another), the row-extent shapes of
-    ``_extent_cases`` and ``CANCELLING_CASE``."""
+    rows (zero leads that force row rotations and deferred rescaling),
+    singular ones (a row that is a multiple of another), the row-extent
+    shapes of ``_extent_cases`` and ``CANCELLING_CASE``."""
     cases = [IntMatrix(rows) for rows in DEFERRED_CASES]
     for _ in range(200):
         n = rng.randint(1, 7)
@@ -171,8 +172,9 @@ def _extent_cases(rng: random.Random) -> list[IntMatrix]:
     * shifted blocks + border, like the prime-block B: dense blocks down the
       diagonal one column right, and the same border cell;
     * short rows under a long first row, whose extents grow by fill-in;
-    * a short row with a zero lead above a long one, so the pivot swap
-      puts the short row under the long one.
+    * a short row with a zero lead above a long one, so the rotation at the
+      first step lifts the long row over it and the short row, the next
+      pivot, ends before the rows it updates.
     """
     cases = []
     for n in range(2, 9):
@@ -200,7 +202,7 @@ def _extent_cases(rng: random.Random) -> list[IntMatrix]:
         rows = [[_entry(rng) for _ in range(n)]]
         rows += [[_entry(rng) if j <= i else 0 for j in range(n)] for i in range(1, n)]
         cases.append(IntMatrix(rows))
-        # row 0 is short and has a zero lead; the long row n - 1 swaps in
+        # row 0 is short and has a zero lead; the long row n - 1 rotates up
         rows = [[0, _entry(rng)] + [0] * (n - 2)]
         rows += [[0] * i + [_entry(rng) for _ in range(n - i)] for i in range(1, n - 1)]
         rows.append([_entry(rng) for _ in range(n)])
@@ -229,6 +231,55 @@ def test_eliminate_matches_cofactor_expansion():
             assert got == d
             assert [sum(map(mul, r, y)) for r in m.rows] == [d * v for v in unit]
     assert singular >= 20
+
+
+# Zero leads whose first nonzero lead lies 2 or 3 rows below the pivot, with
+# the determinant worked by hand.  The first two rotate at step 0; the last
+# two at step 1, moving down rows that step 0 skipped (still divided by 1,
+# while the pivot is 2) and one that it updated.  Rotating row s up to k
+# flips the sign only when s - k is odd.
+ROTATION_CASES = (
+    (((0, 1, 2), (0, 3, 1), (2, 1, 1)), -10),  # s - k = 2
+    (((0, 1, 0, 2), (0, 2, 1, 0), (0, 0, 3, 1), (1, 1, 1, 1)), -13),  # 3
+    (((2, 1, 0, 1), (0, 0, 1, 2), (2, 1, 3, 0), (0, 3, 1, 1)), -42),  # 2
+    (((2, 1, 0, 1, 0), (0, 0, 1, 2, 0), (0, 0, 3, 0, 1), (2, 1, 1, 0, 0),
+      (0, 3, 0, 1, 1)), -18),  # 3
+)
+
+
+def test_eliminate_rotates_rows_at_a_zero_lead():
+    for rows, d in ROTATION_CASES:
+        m = IntMatrix(rows)
+        n = m.n
+        assert det_cofactor_expansion(m) == d
+        assert eliminate([list(r) for r in rows]) == (d, None)
+        for rhs in ([1] * n, list(range(1, n + 1)), [0] * (n - 1) + [1]):
+            got, y = eliminate([list(r) for r in rows], rhs)
+            assert got == d
+            assert [sum(map(mul, r, y)) for r in rows] == [d * v for v in rhs]
+
+
+def _nonzeros(a: list[list[int]]) -> int:
+    return sum(v != 0 for row in a for v in row)
+
+
+def test_prime_block_elimination_is_fill_free():
+    # B's border row is its only row with a nonzero first entry; lifted to
+    # the top, it leaves the blocks J - C on the diagonal, and eliminating
+    # a block diagonal fills nothing outside its blocks.  So B must end with
+    # as many nonzeros as its blocks eliminated one at a time, plus the
+    # border cell.  A swap sends the first block's first row to the bottom
+    # instead, where it fills in the next block.
+    for k in range(1, 9):
+        a = [list(r) for r in prime_block_matrix(k).rows]
+        eliminate(a)
+        blocks = 0
+        for p in first_primes(k):
+            block = [[int((i - j - 1) % (p + 1) != 0) for j in range(p + 1)]
+                     for i in range(p + 1)]
+            eliminate(block)
+            blocks += _nonzeros(block)
+        assert _nonzeros(a) == blocks + 1
 
 
 def test_family_matrices_match_closed_forms_up_to_n_400():
