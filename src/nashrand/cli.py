@@ -195,8 +195,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     payload = _solve_jsonable(game, args.max_n)
     if payload["degenerate"]:
         print(
-            "note: degeneracy detected; reported minima range over extreme "
-            "equilibria only",
+            "note: degeneracy detected; reported minima range over the "
+            "equilibria found",
             file=sys.stderr,
         )
     if args.format == "csv":

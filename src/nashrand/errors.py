@@ -31,8 +31,8 @@ class NoEquilibriumFound(NashrandError):
     """Enumeration finished without equilibria.
 
     Only equal-size supports are searched, so this happens on degenerate
-    games whose equilibria all have unequal supports; such a report is
-    always flagged degenerate.
+    games whose equilibria all have unequal supports.  Every such empty
+    report seen so far carries the degeneracy flag, but that is not proved.
     """
 
 

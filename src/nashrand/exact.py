@@ -14,20 +14,24 @@ kernel skips it and keeps the invariant
 
     stored row i = eliminated row i * base[i] / prev,
 
-where prev is the latest pivot and base[i] the pivot row i is currently
-divided by (the one current when it was last updated).  The skipped
-factors telescope, so when the row is next needed (nonzero lead, pivot
-row, or last row) one rescale ``v * prev // base[i]`` restores it, and the
-division is exact because the result is a minor.  Sparse and banded
-matrices thus skip most of the arithmetic.
+where prev is the latest pivot and base[i] the pivot of the step that
+last updated row i (1 before any).  With s the stored row and
+t = s * prev / base[i] the eliminated one,
+
+    (p_k * s - s_ik * row_k) / base[i] = (p_k * t - t_ik * row_k) / prev,
+
+the textbook step: a skipped row costs nothing until it is updated as
+stored, dividing by its own base, exactly since the result is a minor.
+Only a pivot row is rescaled, once, by ``v * prev // base[k]``, and a
+zero test on a stored lead is exact, no pivot being zero.
 
 Each row also carries an extent, ends[i]: every entry of row i at or past
 column ends[i] is zero.  Extents start at n, so a dense row costs nothing
 to set up; a scan over trailing zeros cuts a row's extent back to one past
 its last nonzero when the row becomes the pivot, or when a pivot that ends
 before it updates it.  Step k then updates row i over columns k+1 .. e
-only, with e = max(ends[i], ends[k]), and sets ends[i] = e; the lazy
-rescale covers row i up to ends[i], and back-substitution stops there.
+only, with e = max(ends[i], ends[k]), and sets ends[i] = e; the pivot
+rescale covers row k up to ends[k], and back-substitution stops there.
 The entries skipped lie past both rows' extents, where the full-width
 update would write 0 * p_k - a_ik * 0 = 0 over a stored 0, and a rescale
 would leave 0.  So every stored entry is the same minor as in the
@@ -138,12 +142,12 @@ def eliminate(
     The list-of-lists surface lets support enumeration call this directly
     on its hot path.
 
-    Rows whose lead is zero at step k are left unscaled, and each row is
-    updated only over its extent, as the module docstring describes.  A
-    zero test on an unscaled row is still exact, because the skipped factor
-    is nonzero.  At a zero lead the first row below with a nonzero lead
-    rotates up to the pivot place, carrying its ``base``, ``ends`` and rhs
-    entry, and the rows it passes move down by one with theirs.
+    A row whose lead is zero at step k is left as stored, and its next
+    update divides by the pivot it last saw; only a pivot row is rescaled.
+    Rows are updated over their extents only (see the module docstring).
+    At a zero lead the first row below with a nonzero lead rotates up to
+    the pivot place, carrying its ``base``, ``ends`` and rhs entry, and the
+    rows it passes move down by one with theirs.
     """
     n = len(a)
     solve = rhs is not None
@@ -195,16 +199,11 @@ def eliminate(
                 if e < end:
                     e = end
                 ends[i] = e
-            if base[i] != prev:
-                b = base[i]
-                row_i[k:e] = [v * prev // b for v in row_i[k:e]]
-                if solve:
-                    r[i] = r[i] * prev // b
-                lead = row_i[k]
+            b = base[i]
             for j in range(k1, e):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // b
             if solve:
-                r[i] = (r[i] * pivot - lead * rk) // prev
+                r[i] = (r[i] * pivot - lead * rk) // b
             base[i] = pivot
         prev = pivot
     d = sign * prev

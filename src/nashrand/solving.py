@@ -459,7 +459,7 @@ def min_complexities(game: Game) -> tuple[int, int]:
     report = support_enumeration(game)
     if report.c1_min is None or report.c2_min is None:
         # only equal-size supports are searched, so a degenerate game can
-        # come back empty; that report always carries the degeneracy flag
+        # come back empty, so far always flagged degenerate (not proved)
         raise NoEquilibriumFound("no equilibrium found within support limits")
     return report.c1_min, report.c2_min
 

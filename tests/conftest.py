@@ -250,6 +250,30 @@ def bordered_fraction_solve(
     return abs(det_value), [m[r][size] for r in range(k)], m[k][size]
 
 
+def fraction_det(rows: Rows) -> int:
+    """Determinant by Gaussian elimination over Fractions, with no integer
+    kernel: the product of the pivots, negated once per row swap."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    n = len(m)
+    det_value = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det_value = -det_value
+        pivot = m[c][c]
+        det_value *= pivot
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] / pivot
+                m[r] = [v - f * w for v, w in zip(m[r], m[c])]
+    if det_value.denominator != 1:
+        raise ArithmeticError("a determinant of integers must be an integer")
+    return det_value.numerator
+
+
 def mat_vec(m: IntMatrix, v: Sequence) -> tuple[Fraction, ...]:
     """m @ v with exact rationals."""
     return tuple(

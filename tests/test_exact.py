@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     block_reference,
     cofactor_sum_definition,
+    fraction_det,
     random_binary_matrix,
     random_int_matrix,
     replace_column,
@@ -115,14 +116,23 @@ def test_det_matches_cofactor_expansion_on_random_matrices():
         assert det(m) == det_cofactor_expansion(m)
 
 
-# Zero-lead patterns worked by hand.  In the first, the second row is skipped
-# at the first step and rescaled by the pivot 2 when it becomes the pivot
-# row; in the second, both rows are skipped at the first step, at the second
-# the third row rotates up past the second (a one-row rotation, which is a
-# swap), and the last row is rescaled by the pivot 6.
+# Zero-lead patterns worked by hand.  A row skipped at a step keeps its stored
+# entries and its base, the pivot it last saw; its next update divides by that
+# base, and only a row that becomes the pivot row is rescaled to the latest
+# pivot.  In the first, the second row is skipped at the first step and
+# rescaled by the pivot 2 when it becomes the pivot row; in the second, both
+# rows are skipped at the first step, at the second the third row rotates up
+# past the second (a one-row rotation, which is a swap), and the last row is
+# rescaled by the pivot 6.  In the third, step 0 (pivot 2) skips the third
+# row, whose base stays 1, and step 1 (pivot 5, the second row now
+# (5, 2, -1)) updates it dividing by 1: (5 * (2, 1) - 1 * (2, -1)) / 1 =
+# (8, 6), as (5 * (4, 2) - 2 * (2, -1)) / 2 gives on the row rescaled by 2.
+# The last row is (-1, 2, 5) after step 0 and (6, 12) after step 1, so
+# step 2 leaves (8 * 12 - 6 * 6) / 5 = 12, the determinant.
 DEFERRED_CASES = (
     ((2, 1, 0), (0, 3, 1), (1, 1, 1)),
     ((2, 0, 1), (0, 0, 1), (0, 3, 0)),
+    ((2, 1, 0, 1), (1, 3, 1, 0), (0, 1, 2, 1), (1, 0, 1, 3)),
 )
 # Step 0 cancels the tail of the second row to (0, 1, 0, 0), so the pivot
 # of step 1 has trailing zeros its input row did not have, and it updates
@@ -139,7 +149,8 @@ def _random_rows(rng: random.Random, n: int, density: float) -> list[list[int]]:
 
 def _kernel_cases(rng: random.Random) -> list[IntMatrix]:
     """Matrices up to 8x8: dense and sparse, upper triangular with shuffled
-    rows (zero leads that force row rotations and deferred rescaling),
+    rows (zero leads that force row rotations, and rows skipped at some
+    steps that a later step updates from their stored entries),
     singular ones (a row that is a multiple of another), the row-extent
     shapes of ``_extent_cases`` and ``CANCELLING_CASE``."""
     cases = [IntMatrix(rows) for rows in DEFERRED_CASES]
@@ -163,6 +174,30 @@ def _entry(rng: random.Random) -> int:
     return rng.choice((-1, 1)) * rng.randint(1, 4)
 
 
+def _banded_border(rng: random.Random, n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        for j in (i - 2, i, i + 1):
+            if 0 <= j < n - 1:
+                rows[i][j + 1] = _entry(rng)
+    rows[n - 1][0] = _entry(rng)
+    return rows
+
+
+def _shifted_blocks(rng: random.Random, sizes: list[int]) -> list[list[int]]:
+    n = sum(sizes) + 1
+    rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for m in sizes:
+        for i in range(m):
+            for j in range(m):
+                if rng.random() < 0.8:
+                    rows[offset + i][offset + 1 + j] = _entry(rng)
+        offset += m
+    rows[n - 1][0] = _entry(rng)
+    return rows
+
+
 def _extent_cases(rng: random.Random) -> list[IntMatrix]:
     """Shapes whose rows end well before the last column, so the kernel's
     row extents decide which entries it updates:
@@ -176,27 +211,9 @@ def _extent_cases(rng: random.Random) -> list[IntMatrix]:
       first step lifts the long row over it and the short row, the next
       pivot, ends before the rows it updates.
     """
-    cases = []
-    for n in range(2, 9):
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n - 1):
-            for j in (i - 2, i, i + 1):
-                if 0 <= j < n - 1:
-                    rows[i][j + 1] = _entry(rng)
-        rows[n - 1][0] = _entry(rng)
-        cases.append(IntMatrix(rows))
+    cases = [IntMatrix(_banded_border(rng, n)) for n in range(2, 9)]
     for sizes in ((2,), (2, 3), (3, 2, 2), (2, 2, 3)):
-        n = sum(sizes) + 1
-        rows = [[0] * n for _ in range(n)]
-        offset = 0
-        for m in sizes:
-            for i in range(m):
-                for j in range(m):
-                    if rng.random() < 0.8:
-                        rows[offset + i][offset + 1 + j] = _entry(rng)
-            offset += m
-        rows[n - 1][0] = _entry(rng)
-        cases.append(IntMatrix(rows))
+        cases.append(IntMatrix(_shifted_blocks(rng, sizes)))
     for n in range(3, 8):
         # row i > 0 ends at column i + 1; step 0 widens every such row to n
         rows = [[_entry(rng) for _ in range(n)]]
@@ -211,6 +228,8 @@ def _extent_cases(rng: random.Random) -> list[IntMatrix]:
 
 
 def test_eliminate_matches_cofactor_expansion():
+    # the third deferred case, worked by hand in the comment above it
+    assert det_cofactor_expansion(IntMatrix(DEFERRED_CASES[2])) == 12
     rng = random.Random(4242)
     singular = 0
     for m in _kernel_cases(rng):
@@ -231,6 +250,44 @@ def test_eliminate_matches_cofactor_expansion():
             assert got == d
             assert [sum(map(mul, r, y)) for r in m.rows] == [d * v for v in unit]
     assert singular >= 20
+
+
+def _mid_size_cases(rng: random.Random) -> list[list[list[int]]]:
+    """Sides 9..40 past what cofactor expansion reaches, in four shapes:
+    sparse random, banded + border and shifted blocks + border (as in
+    ``_extent_cases``, rows shuffled half the time), and dense.  Their zero
+    leads skip rows over long runs of steps under pivots of many digits
+    before a step updates them."""
+    cases = []
+    for n in range(9, 41, 3):
+        sizes = []
+        while sum(sizes) < n - 1:
+            sizes.append(min(rng.randint(1, 6), n - 1 - sum(sizes)))
+        shaped = [_banded_border(rng, n), _shifted_blocks(rng, sizes)]
+        for rows in shaped:
+            if rng.random() < 0.5:
+                rng.shuffle(rows)
+        sparse = _random_rows(rng, n, rng.choice((0.1, 0.2, 0.3)))
+        cases += [sparse, *shaped, _random_rows(rng, n, 1.0)]
+    return cases
+
+
+def test_eliminate_matches_fraction_elimination_at_mid_size():
+    rng = random.Random(4040)
+    nonzero = 0
+    for rows in _mid_size_cases(rng):
+        n = len(rows)
+        d = fraction_det(rows)
+        assert eliminate([list(r) for r in rows]) == (d, None)
+        for rhs in ([1] * n, [rng.randint(-5, 5) for _ in range(n)]):
+            got, y = eliminate([list(r) for r in rows], rhs)
+            assert got == d
+            if d:
+                assert [sum(map(mul, r, y)) for r in rows] == [d * v for v in rhs]
+            else:
+                assert y is None
+        nonzero += d != 0
+    assert nonzero >= 30
 
 
 # Zero leads whose first nonzero lead lies 2 or 3 rows below the pivot, with
