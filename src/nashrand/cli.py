@@ -9,6 +9,7 @@ else 10; no other module reads the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -408,9 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call and reused: parse_args leaves a parser as it
+# was, and the import does not pay for it
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, NotADistribution, UnsupportedDimension,

@@ -74,7 +74,14 @@ from typing import Iterable, Sequence
 
 
 class IntMatrix:
-    """Immutable square matrix of integers."""
+    """Immutable square matrix of integers.
+
+    ``IntMatrix(rows)`` is the one validating constructor: it refuses a
+    float or a string entry (TypeError) and a grid that is not square
+    (ValueError).  Builders whose grids are square and hold ints by
+    construction (the identity, the family matrices, a parsed game's
+    already checked payoffs) go through ``_of_ints``, which only copies.
+    """
 
     __slots__ = ("n", "rows")
 
@@ -91,11 +98,20 @@ class IntMatrix:
         self.rows = grid
 
     @classmethod
+    def _of_ints(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
+        """The matrix of a square grid of ints, with no check of either;
+        rows become exact-size tuples, as in ``__init__``."""
+        m = cls.__new__(cls)
+        m.rows = grid = tuple([tuple(row) for row in rows])
+        m.n = len(grid)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         rows = [[0] * n for _ in range(n)]
         for i, row in enumerate(rows):
             row[i] = 1
-        return cls(rows)
+        return cls._of_ints(rows)
 
     def is_identity(self) -> bool:
         """Whether each row holds a single 1, on the diagonal, and n - 1 zeros."""

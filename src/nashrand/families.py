@@ -33,21 +33,29 @@ from .games import Game, MixedStrategy, Profile, uniform
 # ---------------------------------------------------------------------------
 # primes
 
-_PRIMES: list[int] = [2, 3, 5, 7, 11, 13]
+_PRIMES: list[int] = [2, 3, 5, 7, 11, 13]  # replaced, never mutated
 
 
 def first_primes(count: int) -> list[int]:
-    """First ``count`` primes, extending a cached incremental sieve."""
+    """First ``count`` primes, extending a cached incremental sieve.
+
+    The cache grows in a local list and is published by one assignment, so
+    a thread that reads it mid-growth sees the old list, never a torn one,
+    and two threads that grow it at once at worst repeat the work.
+    """
+    global _PRIMES
     if count < 0:
         raise ValueError(f"prime count must be >= 0, got {count}")
-    while len(_PRIMES) < count:
-        candidate = _PRIMES[-1] + 2
-        while True:
-            if all(candidate % p for p in _PRIMES if p * p <= candidate):
-                _PRIMES.append(candidate)
-                break
+    primes = _PRIMES
+    if len(primes) < count:
+        primes = primes[:]
+        candidate = primes[-1] + 2
+        while len(primes) < count:
+            if all(candidate % p for p in primes if p * p <= candidate):
+                primes.append(candidate)
             candidate += 2
-    return _PRIMES[:count]
+        _PRIMES = primes
+    return primes[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +67,7 @@ def _cell_matrix(n: int, cells: Iterable[tuple[int, int]]) -> IntMatrix:
     rows = [[0] * n for _ in range(n)]
     for i, j in cells:
         rows[i][j] = 1
-    return IntMatrix(rows)
+    return IntMatrix._of_ints(rows)
 
 
 def _band_cells(m: int, shift: int) -> list[tuple[int, int]]:
@@ -113,26 +121,41 @@ class RecurrenceTable:
         return _one_based(self.g_values, n)
 
 
+# a, b, det_b and g so far: the seeds of a, b and det_b, and no g yet.
+# Grown by recurrence_table and replaced, never mutated (see first_primes).
+_RECURRENCES: tuple[tuple[int, ...], ...] = ((1, 1, 1, 0), (0, 1, 0, 1), (1, 1, 2), ())
+
+
 def recurrence_table(upto: int) -> RecurrenceTable:
     """The recurrences' values up to index ``upto`` (b one index further).
+
+    The values come from one store per process that grows to the largest
+    ``upto`` asked for, so a scan over n costs each recurrence step once;
+    tables are slices of it.  The store keeps every value it has computed;
+    the entries at n of a, b and det_b have about 0.55 n bits each, so it
+    holds about 88 KB after ``recurrence_table(500)`` and 12.3 MB after
+    10,000, the cap of the ``recurrence`` command (``tracemalloc``).
 
     A pure computation: the identities linking the sequences are checked by
     the ``recurrence`` command, which prints the table, and by the tests
     (``test_recurrence_identities_long_range``).
     """
+    global _RECURRENCES
     if upto < 4:
         raise UnsupportedDimension("table needs upto >= 4")
-    a = [1, 1, 1, 0]
-    b = [0, 1, 0, 1]
-    for n in range(5, upto + 2):
-        b.append(b[n - 3] - b[n - 4] + b[n - 5])
-    for n in range(5, upto + 1):
-        a.append(a[n - 3] - a[n - 4] + a[n - 5])
-    det_b = [1, 1, 2]
-    for n in range(4, upto + 1):
-        det_b.append(det_b[n - 2] + det_b[n - 4])
-    g = [math.gcd(b[i], b[i + 1]) for i in range(upto)]
-    return RecurrenceTable(upto, tuple(a), tuple(b[: upto + 1]), tuple(det_b), tuple(g))
+    a, b, det_b, g = _RECURRENCES
+    if len(g) < upto:
+        a, b, det_b = list(a), list(b), list(det_b)
+        for _ in range(len(b), upto + 1):
+            b.append(b[-2] - b[-3] + b[-4])
+        for _ in range(len(a), upto):
+            a.append(a[-2] - a[-3] + a[-4])
+        for _ in range(len(det_b), upto):
+            det_b.append(det_b[-1] + det_b[-3])
+        g += tuple(map(math.gcd, b[len(g):upto], b[len(g) + 1:upto + 1]))
+        a, b, det_b = tuple(a), tuple(b), tuple(det_b)
+        _RECURRENCES = a, b, det_b, g
+    return RecurrenceTable(upto, a[:upto], b[: upto + 1], det_b[:upto], g[:upto])
 
 
 @dataclass(frozen=True)
@@ -381,23 +404,19 @@ def _beta_form(n: int) -> tuple:
     if n < 8:
         raise UnsupportedDimension("closed form restricted to n >= 8")
     t = recurrence_table(n)
-    bn = abs(t.b(n))
-    an = abs(t.a(n))
-    coords = [0] * (n + 1)
-    coords[n - 1] = bn
-    coords[n - 4] = an
-    for k in range(2, n):
-        if k == 4:
-            continue
-        coords[n - k] = t.a(k) * bn + t.b(k) * an
-    coords[n] = 2 * bn + an
-    raw = coords[1:]
-    if any(v <= 0 for v in raw):
+    a, b = t.a_values, t.b_values
+    bn, an = abs(b[n - 1]), abs(a[n - 1])
+    # raw[i - 1] = x'_i: x'_{n-k} for k = n-1 .. 2 (x'_{n-4} replaced by
+    # |a_n|), then x'_{n-1} and x'_n
+    raw = [ak * bn + bk * an for ak, bk in zip(a[n - 2:0:-1], b[n - 2:0:-1])]
+    raw[n - 5] = an
+    raw += bn, 2 * bn + an
+    if min(raw) <= 0:
         raise AssertionError("closed-form coordinates must be positive")
     g = math.gcd(*raw)
     x = MixedStrategy(tuple([v // g for v in raw]), sum(raw) // g)
-    c1, gn = x.denominator, t.g(n)
-    return Profile(x, uniform(n)), c1, gn, t.det_b(n - 1), c1 * gn
+    c1, gn = x.denominator, t.g_values[n - 1]
+    return Profile(x, uniform(n)), c1, gn, t.det_b_values[n - 2], c1 * gn
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +482,7 @@ def _twin(base: str, n: int) -> tuple[Game, Profile, int]:
     """The constant-sum twin (1 - B, B) of a base family, its equilibrium and C."""
     b = _FAMILIES[base][1](n)
     profile, c1, *_ = closed_form(f"constsum-{base}", n)
-    a = IntMatrix([[1 - v for v in row] for row in b.rows])
+    a = IntMatrix._of_ints([[1 - v for v in row] for row in b.rows])
     return Game(a, b, family_tag=f"constsum-{base}", constant_sum=1), profile, c1
 
 

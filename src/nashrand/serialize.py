@@ -142,7 +142,7 @@ def _int_matrix(obj: Any, field: str, n: int) -> IntMatrix:
                     f"field {field!r}, row {r + 1}, column {c + 1}: "
                     f"payoffs must be integers, got {v!r}"
                 )
-    return IntMatrix(obj)
+    return IntMatrix._of_ints(obj)
 
 
 def parse_game(text: str) -> Game:

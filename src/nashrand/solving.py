@@ -59,10 +59,12 @@ What the loop keeps, and for how long: each side's memo of solved
 systems (``x_solved``, ``y_solved``) and each J's y projection
 (``y_rows``, built the first time a pair asks for it) last one support
 size, and the x projection lasts one I, which is fixed over its pairs.
-Keys of different sizes never match, so what one size keeps can never
-answer another, and dropping it bounds the memo by one size's systems (a
-memo kept for the whole game measured +15 MB RSS on a random binary
-n = 10 game).
+A size's supports are held as a list only on general games, whose J loop
+walks them once per I; imitation games walk them one at a time.  Keys of
+different sizes never match, so what one size keeps can never answer
+another, and dropping it bounds the memo by one size's systems (a memo
+kept for the whole game measured +15 MB RSS on a random binary n = 10
+game).
 
 Before a pair is solved, it is skipped when strict conditional dominance
 (Porter, Nudelman and Shoham, "Simple search methods for finding a Nash
@@ -254,7 +256,9 @@ def _enumerate(game: Game) -> SolveReport:
     equilibria: list[Profile] = []
     degenerate = False
     for k in range(1, n + 1):
-        level = list(zip(combinations(range(n), k), map(sum, combinations(bits, k))))
+        level = zip(combinations(range(n), k), map(sum, combinations(bits, k)))
+        if not imitation:  # the J loop walks the level once per I
+            level = list(level)
         x_solved, y_solved, y_rows = {}, {}, {}
         for I, i_mask in level:
             i_dead, i_test = x_dead[i_mask], test[i_mask]

@@ -184,6 +184,16 @@ def random_int_matrix(rng: random.Random, n: int, lo: int, hi: int) -> IntMatrix
 # oracles: independent of the elimination shortcuts the library takes ------
 
 
+def same_as_checked(m: IntMatrix) -> bool:
+    """Whether m, built without IntMatrix's entry check, is what the checked
+    constructor builds from its rows: equal, with the same hash and side, as
+    a tuple of tuples of exact ints (no bool, float or int subclass)."""
+    checked = IntMatrix(m.rows)
+    return (m == checked and hash(m) == hash(checked) and m.n == checked.n
+            and type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+            and all(type(v) is int for row in m.rows for v in row))
+
+
 def banded_reference(m: int) -> Rows:
     """m x m 0/1 rows with ones on the diagonal, the superdiagonal and the
     second subdiagonal, entry by entry."""

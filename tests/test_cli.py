@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import nashrand
-from conftest import DATA, GOLDEN, X1_NUMERATORS, Y2_NUMERATORS
+from conftest import DATA, GOLDEN, X1_NUMERATORS, Y2_NUMERATORS, same_as_checked
+from nashrand import cli
 from nashrand.cli import generate_family, main
+from nashrand.errors import ParseError
+from nashrand.exact import IntMatrix
 from nashrand.families import beta_ne
 from nashrand.games import MixedStrategy, complexity, is_nash
 from nashrand.serialize import (
@@ -20,6 +23,7 @@ from nashrand.serialize import (
     dumps_game,
     dumps_profile,
     load_game,
+    parse_game,
     strategy_to_json,
 )
 from nashrand.solving import complexity_upper_bound, support_enumeration
@@ -611,6 +615,96 @@ def _rejects(capsys, *argv) -> str:
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     return err
+
+
+# payoff grids that parse_game must refuse, each put in place of A or of B
+BAD_PAYOFFS = {
+    "float": [[1, 2.0], [0, 1]],
+    "fraction": [[1, 0], [0, 1.5]],
+    "string": [["7", 0], [0, 1]],
+    "true": [[1, 0], [True, 1]],
+    "false": [[False, 0], [0, 1]],
+    "null": [[1, None], [0, 1]],
+    "nested list": [[1, [0]], [0, 1]],
+    "short row": [[1, 0], [0]],
+    "long row": [[1, 0, 0], [0, 1]],
+    "row not a list": [[1, 0], 7],
+    "too few rows": [[1, 0]],
+    "too many rows": [[1, 0], [0, 1], [1, 1]],
+    "not a list": {"0": [1, 0]},
+}
+
+
+def test_parse_game_refuses_non_integer_and_ragged_payoffs(tmp_path, capsys):
+    # _int_matrix is the only check of a payoff on this path: the IntMatrix
+    # it builds does not check its entries again
+    good = [[1, 0], [0, 1]]
+    path = tmp_path / "bad.json"
+    for name, grid in BAD_PAYOFFS.items():
+        for field in ("A", "B"):
+            obj = {"n": 2, "A": good, "B": good, field: grid}
+            text = json.dumps(obj)
+            with pytest.raises(ParseError, match=f"field '{field}'"):
+                parse_game(text)
+            path.write_text(text)
+            assert f"field '{field}'" in _rejects(capsys, "solve", str(path)), name
+    game = parse_game(json.dumps({"n": 2, "A": good, "B": [[2**70, -3], [0, 1]]}))
+    assert game.B.rows == ((2**70, -3), (0, 1)) and same_as_checked(game.B)
+
+
+def test_parsed_games_equal_checked_matrices():
+    paths = sorted(DATA.glob("*.json")) + [GOLDEN / "example1.json",
+                                           GOLDEN / "example2.json"]
+    for path in paths:
+        obj = json.loads(path.read_text())
+        game = load_game(str(path))
+        for name in ("A", "B"):
+            m = getattr(game, name)
+            assert same_as_checked(m) and m == IntMatrix(obj[name]), (path.name, name)
+
+
+def test_successive_main_calls_dispatch_each_command(tmp_path, capsys):
+    # main() builds its parser once and reuses it: each call must see its own
+    # arguments and the defaults, whatever the calls before it, an argparse
+    # exit included
+    game = tmp_path / "example1.json"
+    golden = (GOLDEN / "example1.json").read_text()
+    calls = [
+        ["gen", "example1", "--out", str(game)],
+        ["gen", "example1"],
+        ["scan", "beta", "--from", "8"],
+        ["scan", "beta", "--from", "8", "--to", "9"],
+        ["solve", str(game), "--format", "csv"],
+        ["solve", str(game)],
+        ["nope"],
+        ["recurrence", "--to", "9"],
+        ["solve", str(game)],
+    ]
+    outputs = []
+    for argv in calls:
+        fresh = cli.build_parser()
+        try:
+            expected = vars(fresh.parse_args(argv))
+        except SystemExit as exc:
+            assert exc.code == 2
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as reused:
+                main(argv)
+            assert reused.value.code == 2, argv
+            assert "usage: nashrand" in capsys.readouterr().err
+            outputs.append(None)
+            continue
+        assert vars(cli._parser().parse_args(argv)) == expected, argv
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0, argv
+        outputs.append(out)
+    assert cli._parser() is cli._parser()
+    assert game.read_text() == golden and outputs[:3] == ["", golden, None]
+    assert outputs[3].splitlines()[0] == ",".join(cli.SCAN_COLUMNS)
+    assert len(outputs[3].splitlines()) == 3
+    assert outputs[4].startswith("index,complexity_x")
+    assert outputs[5] == outputs[8] and json.loads(outputs[5])["n"] == 8
+    assert outputs[7].splitlines()[9].startswith("9,")
 
 
 def test_solve_directory_exits_two(tmp_path, capsys):

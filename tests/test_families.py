@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -15,12 +17,14 @@ from conftest import (
     mat_vec,
     pad_game,
     prime_block_symmetry,
+    same_as_checked,
 )
 from nashrand.errors import (
     HasPureNE,
     HypothesisViolation,
     UnsupportedDimension,
 )
+from nashrand import families
 from nashrand.exact import IntMatrix, cofactor_sum, det
 from nashrand.families import (
     Permutation,
@@ -37,6 +41,7 @@ from nashrand.families import (
     first_primes,
     permutation_game,
     prime_block_game,
+    prime_block_matrix,
     prime_block_ne,
     recurrence_constants,
     recurrence_table,
@@ -237,6 +242,111 @@ def test_recurrence_base_and_continuation():
 def test_recurrence_table_rejects_tiny():
     with pytest.raises(UnsupportedDimension):
         recurrence_table(3)
+
+
+# the recurrence store as the module starts it: the seeds, and no g yet
+SEED_RECURRENCES = ((1, 1, 1, 0), (0, 1, 0, 1), (1, 1, 2), ())
+
+
+def _recurrence_by_definition(upto: int) -> RecurrenceTable:
+    """The table by the definitions in RecurrenceTable's docstring, one loop
+    per sequence and no store."""
+    a, b, det_b = [1, 1, 1, 0], [0, 1, 0, 1], [1, 1, 2]
+    for n in range(5, upto + 2):
+        b.append(b[n - 3] - b[n - 4] + b[n - 5])
+    for n in range(5, upto + 1):
+        a.append(a[n - 3] - a[n - 4] + a[n - 5])
+    for n in range(4, upto + 1):
+        det_b.append(det_b[n - 2] + det_b[n - 4])
+    g = [math.gcd(b[i], b[i + 1]) for i in range(upto)]
+    return RecurrenceTable(upto, tuple(a), tuple(b), tuple(det_b), tuple(g))
+
+
+def test_recurrence_store_grows_to_the_largest_table_and_matches_the_definitions(
+        monkeypatch):
+    # the store only grows, to the largest upto asked for so far; a smaller
+    # table is a slice of it and a larger one extends it
+    monkeypatch.setattr(families, "_RECURRENCES", SEED_RECURRENCES)
+    largest = 0
+    for upto in (40, 400, 8, 1000, 41):
+        assert recurrence_table(upto) == _recurrence_by_definition(upto), upto
+        largest = max(largest, upto)
+        a, b, det_b, g = families._RECURRENCES
+        assert (len(a), len(b), len(det_b), len(g)) == (
+            largest, largest + 1, largest, largest)
+
+
+def test_prime_and_recurrence_caches_survive_concurrent_growth(monkeypatch):
+    # both caches grow in a local and are published by one assignment; when
+    # the prime list grew in place, four threads sieving it at once from the
+    # six seed primes at this switch interval left duplicates in it in about
+    # a third of the trials (and in most trials when they start together)
+    expected_primes = [p for p in range(2, 1988)
+                       if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert len(expected_primes) == 300
+    uptos = (40, 120, 300, 500)
+    tables = {upto: _recurrence_by_definition(upto) for upto in uptos}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(200):
+            monkeypatch.setattr(families, "_PRIMES", [2, 3, 5, 7, 11, 13])
+            monkeypatch.setattr(families, "_RECURRENCES", SEED_RECURRENCES,
+                                raising=False)
+            barrier = threading.Barrier(len(uptos), timeout=30)
+            results = []
+
+            def work(upto):
+                barrier.wait()
+                results.append((first_primes(300), recurrence_table(upto)))
+
+            threads = [threading.Thread(target=work, args=(u,)) for u in uptos]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), trial
+            assert len(results) == len(uptos), trial
+            for primes, table in results:
+                assert primes == expected_primes, trial
+                assert table == tables[table.upto], trial
+            assert families._PRIMES == expected_primes, trial
+            # whichever thread published last, the store is one whole table
+            a, b, det_b, g = families._RECURRENCES
+            assert (len(a), len(b), len(det_b)) == (len(g), len(g) + 1, len(g))
+            assert RecurrenceTable(len(g), a, b, det_b, g) == tables[len(g)], trial
+    finally:
+        sys.setswitchinterval(switch)
+    assert first_primes(6) == [2, 3, 5, 7, 11, 13]
+
+
+def test_unchecked_matrices_equal_checked_ones():
+    # _cell_matrix, IntMatrix.identity and the twins' 1 - B build through
+    # IntMatrix._of_ints, which skips the entry check; each must build what
+    # the checked IntMatrix(rows) builds, entries exact ints
+    rng = random.Random(29)
+    for n in range(41):
+        identity = IntMatrix.identity(n)
+        assert same_as_checked(identity) and identity.is_identity()
+        assert identity == IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+    for n in range(2, 61):
+        assert same_as_checked(beta_matrix(n)), n
+    for k in range(1, 9):
+        assert same_as_checked(prime_block_matrix(k)), k
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        images = rng.sample(range(1, n + 1), n)
+        pi = Permutation(images)
+        m = pi.matrix()
+        assert same_as_checked(m)
+        assert m == IntMatrix([[int(images[c] == r + 1) for c in range(n)]
+                               for r in range(n)])
+    for build, params in ((constant_sum_beta, range(8, 30)),
+                          (constant_sum_prime_block, range(1, 6))):
+        for k in params:
+            game = build(k)[0]
+            assert same_as_checked(game.A), (build.__name__, k)
+            assert game.A == IntMatrix([[1 - v for v in row] for row in game.B.rows])
 
 
 def test_one_based_accessors_refuse_indices_below_one():
