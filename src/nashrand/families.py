@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 from .errors import HasPureNE, UnsupportedDimension
 from .exact import IntMatrix
 from .games import Game, MixedStrategy, Profile, uniform
+from .solving import pure_nash
 
 # ---------------------------------------------------------------------------
 # primes
@@ -37,7 +38,10 @@ _PRIMES: list[int] = [2, 3, 5, 7, 11, 13]  # replaced, never mutated
 
 
 def first_primes(count: int) -> list[int]:
-    """First ``count`` primes, extending a cached incremental sieve.
+    """First ``count`` primes, extending a cached list by trial division.
+
+    Each candidate is divided only by the cached primes up to its square
+    root, so one candidate never costs a pass over the whole list.
 
     The cache grows in a local list and is published by one assignment, so
     a thread that reads it mid-growth sees the old list, never a torn one,
@@ -51,8 +55,14 @@ def first_primes(count: int) -> list[int]:
         primes = primes[:]
         candidate = primes[-1] + 2
         while len(primes) < count:
-            if all(candidate % p for p in primes if p * p <= candidate):
-                primes.append(candidate)
+            # a candidate is below twice the last prime (Bertrand), so some
+            # cached p has p * p > candidate and the loop always breaks
+            for p in primes:
+                if p * p > candidate:
+                    primes.append(candidate)
+                    break
+                if candidate % p == 0:
+                    break
             candidate += 2
         _PRIMES = primes
     return primes[:count]
@@ -98,8 +108,10 @@ class RecurrenceTable:
     a starts (1, 1, 1, 0) and b starts (0, 1, 0, 1); both continue with
     s(n) = s(n-2) - s(n-3) + s(n-4).  det_b tracks the determinant sequence
     of the banded matrices (base 1, 1, 2; then d(n) = d(n-1) + d(n-3)), and
-    g(n) = gcd(b(n), b(n+1)) is the divisor that occasionally shrinks the
-    equilibrium denominator.
+    g(n) = gcd(b(n), b(n+1)) = gcd(a(n), b(n)) is the divisor that
+    occasionally shrinks the equilibrium denominator.  The second form holds
+    because a(n) = b(n) + b(n+1) for every n: a - b - (b shifted by one)
+    obeys the same linear recurrence and is 0 at n = 1..4.
     """
 
     upto: int
@@ -390,11 +402,19 @@ def beta_ne(n: int) -> tuple[Profile, int]:
 
     The unnormalized coordinates come straight from the recurrences:
     x'_{n-1} = |b_n|, x'_{n-4} = |a_n|, x'_{n-k} = a_k |b_n| + b_k |a_n|
-    for the remaining k < n, and x'_n = 2 |b_n| + |a_n|.  The canonical
-    denominator equals |K(beta_n)| / gcd(b_n, b_{n+1}); no matrix is built
-    here, and that identity is checked against the Bareiss cofactor sum by
+    for the remaining k < n, and x'_n = 2 |b_n| + |a_n|.  Their sum is
+    |K(beta_n)|, and no matrix is built here.
+
+    The raw coordinates' gcd is g(n), so the canonical x is raw / g(n) and
+    C_1 = |K(beta_n)| / g(n) with no gcd taken.  Proof: |b_n| and |a_n| are
+    raw coordinates, and every other one is an integer combination of them,
+    so gcd(raw) = gcd(a_n, b_n); and a_n = b_n + b_{n+1} (see
+    ``RecurrenceTable``), so gcd(a_n, b_n) = gcd(b_{n+1}, b_n) = g(n).
+
     ``test_family_matrices_match_closed_forms_up_to_n_400`` and
-    ``test_beta_complexity_equals_cofactor_sum_over_gcd``.
+    ``test_beta_complexity_equals_cofactor_sum_over_gcd`` check the sum
+    against the Bareiss cofactor sum, and
+    ``test_beta_raw_coordinates_have_gcd_g`` checks the gcd from the table.
     """
     return closed_form("beta", n)[:2]
 
@@ -413,10 +433,9 @@ def _beta_form(n: int) -> tuple:
     raw += bn, 2 * bn + an
     if min(raw) <= 0:
         raise AssertionError("closed-form coordinates must be positive")
-    g = math.gcd(*raw)
-    x = MixedStrategy(tuple([v // g for v in raw]), sum(raw) // g)
-    c1, gn = x.denominator, t.g_values[n - 1]
-    return Profile(x, uniform(n)), c1, gn, t.det_b_values[n - 2], c1 * gn
+    g, k = t.g_values[n - 1], sum(raw)
+    x = MixedStrategy(tuple([v // g for v in raw]), k // g)
+    return Profile(x, uniform(n)), x.denominator, g, t.det_b_values[n - 2], k
 
 
 # ---------------------------------------------------------------------------
@@ -513,33 +532,31 @@ def permutation_game(pi: Permutation, tau: Permutation) -> tuple[Game, int]:
 def two_by_two_complexities(game: Game) -> tuple[int, int]:
     """Closed-form minimal complexities of a 2x2 game without pure equilibria.
 
-    After orienting rows so A11 > A21, the unique equilibrium mixes with
-    odds taken from payoff differences; reducing those fractions gives
+    The unique equilibrium makes each player indifferent.  The row player's
+    x solves x_1 beta_1 = x_2 beta_2 with beta_1 = B12 - B11 and
+    beta_2 = B21 - B22, so x = (beta_2, beta_1) / (beta_1 + beta_2) and
 
-        C_1 = (B12 - B11 + B21 - B22) / gcd(B12 - B11, B21 - B22)
+        C_1 = |beta_1 + beta_2| / gcd(beta_1, beta_2),
 
-    and symmetrically for C_2 from A.  Raises HasPureNE when a pure
-    equilibrium exists (both complexities are 1 then).
+    and C_2 likewise from A, with alpha_1 = A11 - A21 and alpha_2 =
+    A22 - A12.  Without a pure equilibrium each pair is nonzero and of one
+    sign (otherwise a column, or a row, weakly dominates and a pure
+    equilibrium exists), so neither sum is 0.  The rows need no orientation:
+    swapping them sends (beta_1, beta_2) to (-beta_2, -beta_1) and the
+    alphas to their negatives, which flips each sum's sign and keeps each
+    gcd.  Raises HasPureNE when a pure equilibrium exists (both
+    complexities are 1 then).
     """
-    from .solving import pure_nash
-
     if game.n != 2:
         raise UnsupportedDimension("closed form only covers 2x2 games")
     if pure_nash(game):
         raise HasPureNE()
-    a = [list(r) for r in game.A.rows]
-    b = [list(r) for r in game.B.rows]
-    if a[0][0] < a[1][0]:
-        a.reverse()
-        b.reverse()
-    if a[0][0] <= a[1][0]:
-        raise AssertionError("orientation must be strict without pure NEs")
-    c1 = (b[0][1] - b[0][0] + b[1][0] - b[1][1]) // math.gcd(
-        b[0][1] - b[0][0], b[1][0] - b[1][1]
-    )
-    c2 = (a[0][0] - a[1][0] + a[1][1] - a[0][1]) // math.gcd(
-        a[0][0] - a[1][0], a[1][1] - a[0][1]
-    )
+    (a11, a12), (a21, a22) = game.A.rows
+    (b11, b12), (b21, b22) = game.B.rows
+    beta_1, beta_2 = b12 - b11, b21 - b22
+    alpha_1, alpha_2 = a11 - a21, a22 - a12
+    c1 = abs(beta_1 + beta_2) // math.gcd(beta_1, beta_2)
+    c2 = abs(alpha_1 + alpha_2) // math.gcd(alpha_1, alpha_2)
     return c1, c2
 
 

@@ -342,7 +342,9 @@ def test_prime_block_elimination_is_fill_free():
 def test_family_matrices_match_closed_forms_up_to_n_400():
     # Second sources for the kernel on the paper's sparse families, well
     # past what cofactor expansion reaches: |det beta_n| = det_b(n - 1) and
-    # |K(beta_n)| = C1 * g(n) from the recurrences, det B = -(the product of
+    # |K(beta_n)| = C1 * g(n), the sum of beta_ne's raw coordinates (the
+    # closed form divides them by g(n), a divisor that
+    # test_beta_raw_coordinates_have_gcd_g checks), det B = -(the product of
     # the primes) and K(B) = -C1 for the prime-block matrix, signs included,
     # for every k up to the family cap (scan reads both from the closed
     # form).  Every beta n up to 40, then a stride, keeps the test under two

@@ -48,7 +48,7 @@ from nashrand.families import (
     two_by_two_complexities,
 )
 from nashrand.games import Game, MixedStrategy, complexity, is_nash, uniform
-from nashrand.solving import min_complexities, support_enumeration
+from nashrand.solving import min_complexities, pure_nash, support_enumeration
 
 # matrix displays used as golden values ------------------------------------
 
@@ -153,6 +153,23 @@ def test_first_primes_refuses_negative_count():
         with pytest.raises(ValueError):
             first_primes(count)
     assert first_primes(3) == [2, 3, 5]
+
+
+def test_first_primes_grows_to_5000_like_a_sieve(monkeypatch):
+    # trial division stops at each candidate's square root; a sieve of
+    # Eratosthenes up to the 5,000th prime is the second source
+    monkeypatch.setattr(families, "_PRIMES", [2, 3, 5, 7, 11, 13])
+    limit = 48612
+    sieve = bytearray([1]) * limit
+    sieve[:2] = bytes(2)
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    expected = [p for p in range(limit) if sieve[p]]
+    assert len(expected) == 5000
+    for count in (7, 500, 5000):
+        assert first_primes(count) == expected[:count], count
+    assert families._PRIMES == expected
 
 
 def test_block_matrix_displays():
@@ -467,6 +484,26 @@ def test_beta_complexity_equals_cofactor_sum_over_gcd():
         assert 3 * k >= n * abs(det(beta_matrix(n)))
 
 
+def _beta_raw(t: RecurrenceTable, n: int) -> list[int]:
+    """beta_ne's raw coordinates x'_1..x'_n as its docstring states them."""
+    an, bn = abs(t.a(n)), abs(t.b(n))
+    raw = {n - k: t.a(k) * bn + t.b(k) * an for k in range(2, n)}
+    raw[n - 4], raw[n - 1], raw[n] = an, bn, 2 * bn + an
+    return [raw[i] for i in range(1, n + 1)]
+
+
+def test_beta_raw_coordinates_have_gcd_g():
+    # beta_ne divides the raw coordinates by the store's g(n) and takes no
+    # gcd; the gcd of coordinates built here from the table is the second
+    # source for that divisor past the n the enumeration tests reach
+    t = recurrence_table(2000)
+    for n in [*range(8, 601), *range(700, 2001, 100)]:
+        raw = _beta_raw(t, n)
+        assert math.gcd(*raw) == t.g(n) == math.gcd(t.a(n), t.b(n)), n
+        numerators = beta_ne(n)[0].x.numerators
+        assert [p * t.g(n) for p in numerators] == raw, n
+
+
 def test_beta_equilibrium_is_balanced():
     for n in range(8, 41):
         profile, _ = beta_ne(n)
@@ -755,6 +792,37 @@ def test_two_by_two_closed_form():
             Game(IntMatrix.identity(2), IntMatrix.identity(2))
         )
     assert info.value.complexities == (1, 1)
+    # every 0/1 game and a seeded corpus per payoff range, in every
+    # orientation: rows swapped, columns swapped, and the players exchanged,
+    # (A, B) -> (B^T, A^T), which swaps C_1 and C_2
+    binary = [[[v >> 3, v >> 2 & 1], [v >> 1 & 1, v & 1]] for v in range(16)]
+    games = [(a, b) for a in binary for b in binary]
+    rng = random.Random(30)
+    for lo, hi in ((-2, 2), (-9, 9), (-99, 99)):
+        games += [
+            [[[rng.randint(lo, hi) for _ in range(2)] for _ in range(2)]
+             for _ in range(2)]
+            for _ in range(4000)
+        ]
+    mixed = 0
+    for a, b in games:
+        game = Game(IntMatrix(a), IntMatrix(b))
+        try:
+            c = two_by_two_complexities(game)
+        except HasPureNE:
+            assert pure_nash(game), (a, b)
+            continue
+        assert not pure_nash(game), (a, b)
+        mixed += 1
+        assert c == min_complexities(game), (a, b)
+        for twin in (
+            Game(IntMatrix(a[::-1]), IntMatrix(b[::-1])),
+            Game(IntMatrix([r[::-1] for r in a]), IntMatrix([r[::-1] for r in b])),
+        ):
+            assert two_by_two_complexities(twin) == c, (a, b)
+        exchanged = Game(IntMatrix(zip(*b)), IntMatrix(zip(*a)))
+        assert two_by_two_complexities(exchanged) == c[::-1], (a, b)
+    assert mixed >= 1000
 
 
 def test_recurrence_constants_match_displayed_values():

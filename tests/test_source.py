@@ -32,6 +32,21 @@ def test_library_imports_only_the_standard_library():
     assert found == []
 
 
+def test_library_imports_only_at_module_level():
+    # each module's dependencies stand at the top of its file: no import
+    # or from inside a function or class body
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = sorted({
+        f"{path.name}:{inner.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, scopes)
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    })
+    assert found == []
+
+
 def test_only_the_cli_reads_the_environment():
     # configuration enters through the command line; library calls take
     # their limits as arguments, so their results depend on the payoffs only
