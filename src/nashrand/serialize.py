@@ -66,9 +66,15 @@ def _too_long(where: str, digits: int) -> ParseError:
         "limit, or to 0 for none, to read it")
 
 
-def _loads(text: str) -> Any:
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _object(text: str) -> dict:
+    """The JSON object ``text`` holds; any other text is a ParseError."""
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
@@ -81,6 +87,9 @@ def _loads(text: str) -> Any:
         line = text.count("\n", 0, run.start()) + 1
         column = run.start() - text.rfind("\n", 0, run.start())
         raise _too_long(f"line {line}, column {column}", len(run[0])) from None
+    if not isinstance(obj, dict):
+        raise ParseError("top level must be an object")
+    return obj
 
 
 def _is_int(v: Any) -> bool:
@@ -146,9 +155,7 @@ def _int_matrix(obj: Any, field: str, n: int) -> IntMatrix:
 
 
 def parse_game(text: str) -> Game:
-    obj = _loads(text)
-    if not isinstance(obj, dict):
-        raise ParseError("top level must be an object")
+    obj = _object(text)
     try:
         n = obj["n"]
     except KeyError:
@@ -172,20 +179,11 @@ def parse_game(text: str) -> Game:
 
 
 def load_game(path: str) -> Game:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_game(fh.read())
-
-
-def parse_distribution(text: str) -> MixedStrategy:
-    obj = _loads(text)
-    if not isinstance(obj, dict):
-        raise ParseError("top level must be an object")
-    return strategy_from_json(obj)
+    return parse_game(_read(path))
 
 
 def load_distribution(path: str) -> MixedStrategy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_distribution(fh.read())
+    return strategy_from_json(_object(_read(path)))
 
 
 def dumps_profile(profile: Profile) -> str:
@@ -207,13 +205,8 @@ def _strategy_block(name: str, x: MixedStrategy, end: str) -> str:
     )
 
 
-def parse_profile(text: str) -> Profile:
-    obj = _loads(text)
-    if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
+def load_profile(path: str) -> Profile:
+    obj = _object(_read(path))
+    if "x" not in obj or "y" not in obj:
         raise ParseError("profile object needs fields 'x' and 'y'")
     return Profile(strategy_from_json(obj["x"]), strategy_from_json(obj["y"]))
-
-
-def load_profile(path: str) -> Profile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_profile(fh.read())

@@ -68,6 +68,13 @@ def test_gen_writes_file(tmp_path, capsys):
     rc, _ = run_cli(capsys, "gen", "example1", "--out", str(target))
     assert rc == 0
     assert target.read_text() == (GOLDEN / "example1.json").read_text()
+    # the permutation family's one equilibrium mixes over the shortest cycle
+    # of the forward cycle, all n strategies, for both players
+    rc, _ = run_cli(capsys, "gen", "permutation", "--n", "6", "--out", str(target))
+    assert rc == 0
+    rc, out = run_cli(capsys, "solve", str(target))
+    assert rc == 0
+    assert json.loads(out)["c1_min"] == json.loads(out)["c2_min"] == "6"
 
 
 def test_solve_example1(tmp_path, capsys):
@@ -663,6 +670,89 @@ def test_parsed_games_equal_checked_matrices():
             assert same_as_checked(m) and m == IntMatrix(obj[name]), (path.name, name)
 
 
+_UNIT = '{"numerators": [1], "denominator": 1}'
+_GAME = '"n": 1, "A": [[1]], "B": [[1]]'
+# object-level refusals of the game, distribution and profile readers:
+# (command, file text, the whole error line after "error: ")
+BAD_FILES = {
+    "game not an object": ("solve", "[1]", "top level must be an object"),
+    "game without n": ("solve", '{"A": [[1]], "B": [[1]]}', "field 'n' is missing"),
+    "game without B": ("solve", '{"n": 1, "A": [[1]]}', "fields 'A' and 'B' are required"),
+    "game without A": ("solve", '{"n": 1, "B": [[1]]}', "fields 'A' and 'B' are required"),
+    "tag not a string": ("solve", '{' + _GAME + ', "family_tag": 7}',
+                         "field 'family_tag': expected a string or null"),
+    "constant sum not an integer": ("solve", '{' + _GAME + ', "constant_sum": 2.0}',
+                                    "field 'constant_sum': expected an integer or null"),
+    "constant sum contradicted": ("solve", '{' + _GAME + ', "constant_sum": 3}',
+                                  "constant_sum tag does not match payoffs"),
+    "malformed json": ("solve", '{"n": 1,\n "A" [[1]]}',
+                       "line 2, column 6: Expecting ':' delimiter"),
+    "distribution not an object": ("sample", "[1, 1]", "top level must be an object"),
+    "no denominator": ("sample", '{"numerators": [1, 1]}', "field 'denominator' is missing"),
+    "not a distribution": ("analyze", '{"numerators": [1, 1], "denominator": 3}',
+                           "bad distribution object: numerators must sum to the denominator"),
+    "profile x not an object": ("verify", '{"x": [1], "y": ' + _UNIT + '}',
+                                "a distribution must be an object"),
+    "profile without x": ("verify", '{"y": ' + _UNIT + '}',
+                          "profile object needs fields 'x' and 'y'"),
+    "profile without y": ("verify", '{"x": ' + _UNIT + '}',
+                          "profile object needs fields 'x' and 'y'"),
+    # the one reader refuses any non-object first, as for games and distributions
+    "profile not an object": ("verify", "[]", "top level must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FILES)
+def test_readers_refuse_malformed_objects(tmp_path, capsys, case):
+    command, text, message = BAD_FILES[case]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = {
+        "solve": ["solve", str(path)],
+        "sample": ["sample", str(path), "--count", "1"],
+        "analyze": ["analyze", str(path), "--depth", "4"],
+        "verify": ["verify", str(GOLDEN / "example1.json"), str(path)],
+    }[command]
+    assert _rejects(capsys, *argv) == f"error: {message}\n"
+
+
+def _every_command(tmp_path) -> dict[str, list[str]]:
+    """One successful argv per subcommand, on inputs written to tmp_path."""
+    game = str(GOLDEN / "example1.json")
+    profile, dist = tmp_path / "profile.json", tmp_path / "dist.json"
+    profile.write_text(dumps_profile(beta_ne(8)[0]))
+    dist.write_text(json.dumps(strategy_to_json(beta_ne(8)[0].x)))
+    return {
+        "gen": ["gen", "beta", "--n", "9"],
+        "solve": ["solve", game, "--format", "csv"],
+        "verify": ["verify", game, str(profile), "--c1", "34"],
+        "scan": ["scan", "primeblock", "--from", "1", "--to", "4"],
+        "recurrence": ["recurrence", "--to", "12"],
+        "sample": ["sample", str(dist), "--count", "100", "--seed", "5"],
+        "analyze": ["analyze", str(dist), "--depth", "12"],
+        "bound": ["bound", game],
+    }
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "verify", "scan", "recurrence",
+                                     "sample", "analyze", "bound"])
+def test_out_file_gets_the_bytes_stdout_gets(tmp_path, capsys, command):
+    # one write site: --out FILE receives exactly the bytes stdout would, and
+    # with --out nothing reaches stdout; scan's wallclock_ms column is cut
+    def cut(text: str) -> bytes:
+        if command == "scan":
+            text = "".join(line.rpartition(",")[0] + "\n" for line in text.splitlines())
+        return text.encode()
+
+    argv = _every_command(tmp_path)[command]
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0 and out
+    target = tmp_path / "out.txt"
+    rc, written = run_cli(capsys, *argv, "--out", str(target))
+    assert rc == 0 and written == ""
+    assert cut(target.read_bytes().decode()) == cut(out)
+
+
 def test_successive_main_calls_dispatch_each_command(tmp_path, capsys):
     # main() builds its parser once and reuses it: each call must see its own
     # arguments and the defaults, whatever the calls before it, an argparse
@@ -761,6 +851,8 @@ def test_boolean_dimension_exits_two(tmp_path, capsys):
 def test_unsupported_dimension_exit_code(capsys):
     rc, _ = run_cli(capsys, "gen", "beta", "--n", "1")
     assert rc == 2
+    err = _rejects(capsys, "gen", "permutation", "--n", "0")
+    assert err == "error: permutation family needs n >= 1\n"
 
 
 def test_dimension_mismatch_exit_code(tmp_path, capsys):

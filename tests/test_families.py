@@ -155,10 +155,9 @@ def test_first_primes_refuses_negative_count():
     assert first_primes(3) == [2, 3, 5]
 
 
-def test_first_primes_grows_to_5000_like_a_sieve(monkeypatch):
+def test_first_primes_grows_to_5000_like_a_sieve():
     # trial division stops at each candidate's square root; a sieve of
     # Eratosthenes up to the 5,000th prime is the second source
-    monkeypatch.setattr(families, "_PRIMES", [2, 3, 5, 7, 11, 13])
     limit = 48612
     sieve = bytearray([1]) * limit
     sieve[:2] = bytes(2)
@@ -169,7 +168,6 @@ def test_first_primes_grows_to_5000_like_a_sieve(monkeypatch):
     assert len(expected) == 5000
     for count in (7, 500, 5000):
         assert first_primes(count) == expected[:count], count
-    assert families._PRIMES == expected
 
 
 def test_block_matrix_displays():
@@ -294,10 +292,10 @@ def test_recurrence_store_grows_to_the_largest_table_and_matches_the_definitions
 
 
 def test_prime_and_recurrence_caches_survive_concurrent_growth(monkeypatch):
-    # both caches grow in a local and are published by one assignment; when
-    # the prime list grew in place, four threads sieving it at once from the
-    # six seed primes at this switch interval left duplicates in it in about
-    # a third of the trials (and in most trials when they start together)
+    # the recurrence store grows in a local and is published by one
+    # assignment, so four threads growing it at once at this switch interval
+    # leave one whole table; a list of primes shared by such threads once
+    # took duplicates, so each thread also checks first_primes
     expected_primes = [p for p in range(2, 1988)
                        if all(p % d for d in range(2, math.isqrt(p) + 1))]
     assert len(expected_primes) == 300
@@ -307,7 +305,6 @@ def test_prime_and_recurrence_caches_survive_concurrent_growth(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for trial in range(200):
-            monkeypatch.setattr(families, "_PRIMES", [2, 3, 5, 7, 11, 13])
             monkeypatch.setattr(families, "_RECURRENCES", SEED_RECURRENCES,
                                 raising=False)
             barrier = threading.Barrier(len(uptos), timeout=30)
@@ -327,7 +324,6 @@ def test_prime_and_recurrence_caches_survive_concurrent_growth(monkeypatch):
             for primes, table in results:
                 assert primes == expected_primes, trial
                 assert table == tables[table.upto], trial
-            assert families._PRIMES == expected_primes, trial
             # whichever thread published last, the store is one whole table
             a, b, det_b, g = families._RECURRENCES
             assert (len(a), len(b), len(det_b)) == (len(g), len(g) + 1, len(g))
@@ -392,7 +388,7 @@ def test_recurrence_identities_long_range():
         assert t.det_b(n - 1) == 2 * abs(t.b(n)) + abs(t.a(n))
 
 
-def test_recurrence_check_rejects_a_corrupted_det_b(monkeypatch, capsys):
+def test_recurrence_check_rejects_a_corrupted_det_b(monkeypatch):
     # recurrence_table checks nothing itself; the recurrence command is the
     # runtime check, and it must pass the true table and reject a det_b that
     # is off by one, as a HypothesisViolation rather than an assert
@@ -401,10 +397,10 @@ def test_recurrence_check_rejects_a_corrupted_det_b(monkeypatch, capsys):
     from nashrand import families
     from nashrand.cli import cmd_recurrence
 
-    args = argparse.Namespace(to=30, out=None)
+    args = argparse.Namespace(to=30)
     good = recurrence_table(30)
-    assert cmd_recurrence(args) == 0
-    capsys.readouterr()
+    lines = cmd_recurrence(args).splitlines()
+    assert len(lines) == 32 and lines[-1].startswith("# identities verified")
     det_b = list(good.det_b_values)
     det_b[19] += 1
     bad = RecurrenceTable(good.upto, good.a_values, good.b_values, tuple(det_b),

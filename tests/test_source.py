@@ -47,6 +47,31 @@ def test_library_imports_only_at_module_level():
     assert found == []
 
 
+def test_only_main_writes_the_cli_output():
+    # each cmd_* returns its text and main alone writes it, to stdout or to
+    # --out; whatever else cli.py prints is a diagnostic on stderr
+    path = Path(nashrand.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 8
+    found = [
+        f"{command.name}:{node.lineno}"
+        for command in commands
+        for node in ast.walk(command)
+        if isinstance(node, ast.Name) and node.id == "_write"
+        or isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"
+    ]
+    found += [
+        f"print:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+        and not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                    for kw in node.keywords)
+    ]
+    assert found == []
+
+
 def test_only_the_cli_reads_the_environment():
     # configuration enters through the command line; library calls take
     # their limits as arguments, so their results depend on the payoffs only
