@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from .errors import NotADistribution, ParseError
 from .exact import IntMatrix
@@ -124,7 +124,9 @@ def _big_int(v: Any, field: str) -> int:
 def strategy_from_json(obj: Any) -> MixedStrategy:
     if not isinstance(obj, dict):
         raise ParseError("a distribution must be an object")
-    nums = obj.get("numerators")
+    if "numerators" not in obj:
+        raise ParseError("field 'numerators' is missing")
+    nums = obj["numerators"]
     if not isinstance(nums, list):
         kind = type(nums).__name__
         raise ParseError(f"field 'numerators': expected a list, got {kind}")
@@ -178,12 +180,21 @@ def parse_game(text: str) -> Game:
         raise ParseError(str(exc)) from exc
 
 
+def _load(path: str, parse: Callable[[str], Any]) -> Any:
+    """``parse`` of the file's text; a refusal names the file it read."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def load_game(path: str) -> Game:
-    return parse_game(_read(path))
+    return _load(path, parse_game)
 
 
 def load_distribution(path: str) -> MixedStrategy:
-    return strategy_from_json(_object(_read(path)))
+    return _load(path, lambda text: strategy_from_json(_object(text)))
 
 
 def dumps_profile(profile: Profile) -> str:
@@ -206,7 +217,11 @@ def _strategy_block(name: str, x: MixedStrategy, end: str) -> str:
 
 
 def load_profile(path: str) -> Profile:
-    obj = _object(_read(path))
+    return _load(path, _parse_profile)
+
+
+def _parse_profile(text: str) -> Profile:
+    obj = _object(text)
     if "x" not in obj or "y" not in obj:
         raise ParseError("profile object needs fields 'x' and 'y'")
     return Profile(strategy_from_json(obj["x"]), strategy_from_json(obj["y"]))

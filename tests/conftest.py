@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -377,6 +378,64 @@ def enumerate_pairs(n: int, a: Rows, b: Rows) -> SolveReport:
     c1 = min((complexity(p.x) for p in equilibria), default=None)
     c2 = min((complexity(p.y) for p in equilibria), default=None)
     return SolveReport(tuple(equilibria), c1, c2, degenerate, pairs)
+
+
+def extreme_equilibria(game: Game) -> set[Profile]:
+    """Every extreme equilibrium of ``game``, by brute force over vertices.
+
+    With both payoff matrices shifted to be positive, which moves no
+    equilibrium, x ranges over the vertices of P = {x >= 0, B^T x <= 1} and
+    y over those of Q = {y >= 0, A y <= 1}.  x has label i where x_i = 0
+    and label n + j where (B^T x)_j = 1; y has label i where (A y)_i = 1
+    and label n + j where y_j = 0.  The nonzero pairs that carry all 2n
+    labels, each scaled to sum 1, are the extreme equilibria (Avis,
+    Rosenberg, Savani and von Stengel, "Enumeration of Nash equilibria for
+    two-player games", Economic Theory 2010).  Every vertex is the
+    solution of n of its player's 2n constraints, so all n-subsets are
+    solved with ``eliminate``: C(2n, n) systems per player, and no solver
+    code of the library.  A second source for
+    ``nashrand.solving.support_enumeration`` on games of any degeneracy.
+    """
+    n = game.n
+    a, b = (_shifted_positive(m.rows) for m in (game.A, game.B))
+    xs = _labelled_vertices(tuple(zip(*b)), n)
+    ys = _labelled_vertices(a, 0)
+    labels = set(range(2 * n))
+    return {
+        Profile(x, y) for x, x_labels in xs.items() for y, y_labels in ys.items()
+        if x_labels | y_labels == labels
+    }
+
+
+def _shifted_positive(rows: Rows) -> Rows:
+    low = min(map(min, rows))
+    return tuple(tuple(v - low + 1 for v in row) for row in rows)
+
+
+def _labelled_vertices(m: Rows, shift: int) -> dict[MixedStrategy, frozenset[int]]:
+    """The nonzero vertices z of {z >= 0, m z <= 1}, keyed by z scaled to sum
+    1, with their labels: c where row c of m is tight and n + j where
+    z_j = 0, each moved by ``shift`` modulo 2n.  No two vertices share a
+    key: a vertex is not a convex combination of 0 and another point."""
+    n = len(m)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    found = {}
+    for tight in combinations(range(2 * n), n):
+        system = [list(m[c]) if c < n else unit[c - n][:] for c in tight]
+        d, w = eliminate(system, [int(c < n) for c in tight])
+        if d < 0:
+            d, w = -d, [-t for t in w]
+        if not d or min(w) < 0 or not any(w):
+            continue
+        pays = [sum(map(mul, row, w)) for row in m]
+        if max(pays) > d:
+            continue
+        g = math.gcd(*w)
+        labels = [c for c in range(n) if pays[c] == d]
+        labels += [n + j for j in range(n) if not w[j]]
+        key = MixedStrategy(tuple(t // g for t in w), sum(w) // g)
+        found[key] = frozenset((c + shift) % (2 * n) for c in labels)
+    return found
 
 
 def is_symmetric_under(b: IntMatrix, pi: Permutation, tau: Permutation) -> bool:

@@ -673,7 +673,7 @@ def test_parsed_games_equal_checked_matrices():
 _UNIT = '{"numerators": [1], "denominator": 1}'
 _GAME = '"n": 1, "A": [[1]], "B": [[1]]'
 # object-level refusals of the game, distribution and profile readers:
-# (command, file text, the whole error line after "error: ")
+# (command, file text, the whole error line after "error: PATH: ")
 BAD_FILES = {
     "game not an object": ("solve", "[1]", "top level must be an object"),
     "game without n": ("solve", '{"A": [[1]], "B": [[1]]}', "field 'n' is missing"),
@@ -689,6 +689,7 @@ BAD_FILES = {
                        "line 2, column 6: Expecting ':' delimiter"),
     "distribution not an object": ("sample", "[1, 1]", "top level must be an object"),
     "no denominator": ("sample", '{"numerators": [1, 1]}', "field 'denominator' is missing"),
+    "no numerators": ("analyze", '{"denominator": "3"}', "field 'numerators' is missing"),
     "not a distribution": ("analyze", '{"numerators": [1, 1], "denominator": 3}',
                            "bad distribution object: numerators must sum to the denominator"),
     "profile x not an object": ("verify", '{"x": [1], "y": ' + _UNIT + '}',
@@ -699,6 +700,10 @@ BAD_FILES = {
                           "profile object needs fields 'x' and 'y'"),
     # the one reader refuses any non-object first, as for games and distributions
     "profile not an object": ("verify", "[]", "top level must be an object"),
+    # verify reads two files; the line names the one it refused
+    "verify game not an object": ("verify game", "[1]", "top level must be an object"),
+    "verify game without n": ("verify game", '{"A": [[1]], "B": [[1]]}',
+                              "field 'n' is missing"),
 }
 
 
@@ -712,8 +717,9 @@ def test_readers_refuse_malformed_objects(tmp_path, capsys, case):
         "sample": ["sample", str(path), "--count", "1"],
         "analyze": ["analyze", str(path), "--depth", "4"],
         "verify": ["verify", str(GOLDEN / "example1.json"), str(path)],
+        "verify game": ["verify", str(path), str(GOLDEN / "example1.json")],
     }[command]
-    assert _rejects(capsys, *argv) == f"error: {message}\n"
+    assert _rejects(capsys, *argv) == f"error: {path}: {message}\n"
 
 
 def _every_command(tmp_path) -> dict[str, list[str]]:

@@ -14,6 +14,7 @@ from conftest import (
     canonicalize,
     coordination_game,
     enumerate_pairs,
+    extreme_equilibria,
     matching_pennies,
     pad_game,
     random_binary_matrix,
@@ -49,6 +50,22 @@ from nashrand.solving import (
     min_complexities,
     pure_nash,
     support_enumeration,
+)
+
+# the equilibria are x = (t, 1 - t, 0) against y = e2, t in [1/3, 2/3]; the
+# extreme ones pair supports of sizes 2 and 1
+UNEQUAL_SUPPORTS = Game(
+    IntMatrix([[0, 1, 1], [1, 1, 0], [0, 0, 0]]),
+    IntMatrix([[3, 2, 0], [0, 2, 3], [0, 0, 0]]),
+)
+# two unflagged games whose reports miss a less complex equilibrium
+G1 = Game(
+    IntMatrix([[2, -1, -1, -1], [2, -1, -1, -1], [0, 2, 0, 0], [1, 1, 0, 2]]),
+    IntMatrix([[1, 2, -1, 0], [1, 0, 2, 0], [2, -1, 1, -1], [1, 2, 1, -1]]),
+)
+G2 = Game(
+    IntMatrix([[-2, 1, -1, -1], [-3, 1, -3, 1], [-3, 0, -1, -1], [-3, 0, -1, -2]]),
+    IntMatrix([[1, 2, -2, 3], [2, 1, -3, 1], [-3, 3, -1, -2], [1, -2, 0, -2]]),
 )
 
 
@@ -383,13 +400,9 @@ def test_degenerate_flag_raised_on_tied_off_support_column():
 
 
 def test_unequal_support_equilibria_are_flagged_degenerate():
-    # the equilibria are x = (t, 1 - t, 0) against y = e2, t in [1/3, 2/3];
-    # the extreme ones pair supports of sizes 2 and 1, which the loop never
-    # examines, so its answer is incomplete and must carry the flag
-    game = Game(
-        IntMatrix([[0, 1, 1], [1, 1, 0], [0, 0, 0]]),
-        IntMatrix([[3, 2, 0], [0, 2, 3], [0, 0, 0]]),
-    )
+    # the extreme equilibria pair supports of sizes 2 and 1, which the loop
+    # never examines, so its answer is incomplete and must carry the flag
+    game = UNEQUAL_SUPPORTS
     assert is_nash(game, Profile(MixedStrategy((1, 2, 0), 3), pure(3, 2)))
     assert support_enumeration(game).degenerate_flag
 
@@ -399,21 +412,63 @@ def test_unflagged_games_hold_less_complex_unequal_support_equilibria():
     # sizes 2 and 1, that the equal-size pair loop does not examine; on
     # these two games it sets no degeneracy flag, so an unset flag proves
     # nothing.  These facts hold whatever the loop reports.
-    g1 = Game(
-        IntMatrix([[2, -1, -1, -1], [2, -1, -1, -1], [0, 2, 0, 0], [1, 1, 0, 2]]),
-        IntMatrix([[1, 2, -1, 0], [1, 0, 2, 0], [2, -1, 1, -1], [1, 2, 1, -1]]),
-    )
-    g2 = Game(
-        IntMatrix([[-2, 1, -1, -1], [-3, 1, -3, 1], [-3, 0, -1, -1], [-3, 0, -1, -2]]),
-        IntMatrix([[1, 2, -2, 3], [2, 1, -3, 1], [-3, 3, -1, -2], [1, -2, 0, -2]]),
-    )
     for game, x, j, c in (
-        (g1, MixedStrategy((1, 1, 0, 0), 2), 1, (2, 1)),
-        (g2, MixedStrategy((0, 0, 1, 2), 3), 3, (3, 1)),
+        (G1, MixedStrategy((1, 1, 0, 0), 2), 1, (2, 1)),
+        (G2, MixedStrategy((0, 0, 1, 2), 3), 3, (3, 1)),
     ):
         profile = Profile(x, pure(4, j))
         assert is_nash(game, profile)
         assert (complexity(profile.x), complexity(profile.y)) == c
+
+
+def test_vertex_oracle_pins_the_extreme_equilibria():
+    # the conftest oracle on the pinned games: G1 has seven extreme
+    # equilibria, least complexities (2, 1), where the loop reports one
+    # with (4, 2); G2 has two, one with C = (3, 1), where the loop reports
+    # (3, 3); the 3x3 game has its two, x = (1, 2, 0)/3 and (2, 1, 0)/3
+    # against e2, where the loop reports none.  Every reported equilibrium
+    # is one of the oracle's.
+    def least(profiles):
+        return min(map(complexity, (p.x for p in profiles))), min(
+            map(complexity, (p.y for p in profiles)))
+
+    for game, count, c, reported in (
+        (G1, 7, (2, 1), (4, 2)),
+        (G2, 2, (3, 1), (3, 3)),
+        (UNEQUAL_SUPPORTS, 2, (3, 1), (None, None)),
+    ):
+        oracle = extreme_equilibria(game)
+        report = support_enumeration(game)
+        assert len(oracle) == count and least(oracle) == c
+        assert all(is_nash(game, p) for p in oracle)
+        assert (report.c1_min, report.c2_min) == reported
+        assert set(report.equilibria) < oracle
+    assert Profile(MixedStrategy((1, 1, 0, 0), 2), pure(4, 1)) in extreme_equilibria(G1)
+    assert extreme_equilibria(UNEQUAL_SUPPORTS) == {
+        Profile(MixedStrategy(x, 3), pure(3, 2)) for x in ((1, 2, 0), (2, 1, 0))
+    }
+
+
+def test_reported_equilibria_are_extreme_equilibria():
+    # Every equilibrium the loop accepts solves two nonsingular bordered
+    # systems, so it is a vertex pair and the oracle holds it.  On small
+    # entries (0..1, -2..2) most games are degenerate and the oracle finds
+    # more; on -99..99 games that carry no flag the two sets are equal.
+    rng = random.Random(4001)
+    missed = unflagged = 0
+    for lo, hi, sizes in ((0, 1, (3, 4)), (-2, 2, (4, 5)), (-99, 99, (4, 5))):
+        for n in sizes:
+            for _ in range(40):
+                game = Game(*(random_int_matrix(rng, n, lo, hi) for _ in range(2)))
+                report = support_enumeration(game)
+                oracle = extreme_equilibria(game)
+                assert set(report.equilibria) <= oracle, game
+                assert len(set(report.equilibria)) == len(report.equilibria)
+                missed += set(report.equilibria) != oracle
+                if hi == 99 and not report.degenerate_flag:
+                    assert set(report.equilibria) == oracle, game
+                    unflagged += 1
+    assert missed > 100 and unflagged > 70
 
 
 def test_imitation_path_matches_pair_loop():
@@ -612,10 +667,7 @@ def test_dominance_skip_keeps_pair_loop_reports(monkeypatch):
     # degenerate), and the 3x3 game whose extreme equilibria have unequal
     # supports; every report must equal the full pair loop's
     rng = random.Random(3659)
-    unequal = Game(
-        IntMatrix([[0, 1, 1], [1, 1, 0], [0, 0, 0]]),
-        IntMatrix([[3, 2, 0], [0, 2, 3], [0, 0, 0]]),
-    )
+    unequal = UNEQUAL_SUPPORTS
     ints = [
         Game(random_int_matrix(rng, n, -99, 99), random_int_matrix(rng, n, -99, 99))
         for n in (6,) * 6 + (7,) * 4
@@ -708,10 +760,7 @@ def test_memoized_sides_match_bordered_pair_loop(monkeypatch):
     corpora["padded paper games"] = [
         pad_game(g) for g in (prime_block_game(1), prime_block_game(2), beta_game(8))
     ]
-    unequal = Game(
-        IntMatrix([[0, 1, 1], [1, 1, 0], [0, 0, 0]]),
-        IntMatrix([[3, 2, 0], [0, 2, 3], [0, 0, 0]]),
-    )
+    unequal = UNEQUAL_SUPPORTS
     requested, solved, current, side_of = [], [], [], {}
     project, answer, solve_key = solving._project, solving._answer, solving._solve
 

@@ -176,3 +176,49 @@ def _names_read_from_modules(node: ast.AST, modules: set[str]) -> list[str]:
     if isinstance(node, ast.ImportFrom) and node.level:
         return [alias.name for alias in node.names]
     return []
+
+
+def test_every_private_name_has_a_library_caller():
+    # A private function, class, constant or method that no library code
+    # reads is a dead helper, whatever tests, demos or benchmarks still
+    # call it.  A read is a loaded name, an attribute or an import in any
+    # module of the package; a definition or an assignment is not.
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    read = set().union(*map(_reads, trees.values()))
+    found = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name.rpartition(".")[2] not in read
+    ]
+    assert found == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    f"{node.name}.{sub.name}"
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    return [name for name in names if _is_private(name.rpartition(".")[2])]
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
