@@ -34,6 +34,13 @@ log2(n draws) of them, as lists of references into one list of outcome
 ints: 22 to 25 levels and 0.12 MB for n = 40 to 1000 after 20k draws,
 64-bit CPython) and the D + 1 marks, each at most 2^D since
 sum_l c_l 2^-l <= 1.
+
+The tree can also be read without building a level: for any D >= l,
+level l's leaves are the outcomes whose floor(p_i 2^D / q) has bit D - l
+set, since the bits D - 1 .. 0 of that floor are the first D binary
+digits of p_i/q (and bit D is set only for p_i = q).  analyze reads its
+exact account to depth D off those floors, one per distinct numerator,
+in O(distinct * log2 D) big-int steps.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from __future__ import annotations
 import random
 import threading
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,10 +56,12 @@ from .errors import DepthTooLarge, SamplerStall
 from .games import MixedStrategy
 
 DEPTH_CAP = 4096
-# largest n * depth that analyze runs, one remainder step per outcome and
-# level: at the cap, n = 16384 at depth 4096 takes 4.1 s on uniform(n) and
-# 12.7 s or 15.1 s with random 64- or 300-bit numerators (shared 2-core
-# host; 0.41 s for uniform(1000) at depth 4096)
+# largest n * depth that analyze accepts, counted in the remainder steps
+# of the level-by-level loop it once ran (the unit and value are kept, as
+# the refusal states them): at the cap, n = 16384 at depth 4096, analyze
+# takes 1.2 ms on uniform(n) and 0.30 s or 0.42 s with random 64- or
+# 300-bit numerators, and `nashrand analyze` about 1.6 s on the 300-bit
+# ones, about half of it printing 16384 exact fractions (shared 2-core host)
 ANALYZE_CAP = 1 << 26
 WORDS = 256                                       # 32-bit outputs per refill
 TOP_DIGIT = bytes(48 + (b >> 7) for b in range(256))  # byte -> ASCII digit of its top bit
@@ -164,12 +174,40 @@ class AnalyzeReport:
 def analyze(sampler: DdgSampler, depth: int) -> AnalyzeReport:
     """Resolve the sampler's leaf masses exactly up to ``depth`` levels.
 
-    Outcome i resolves floor(p_i 2^D / q) / 2^D by depth D, so the tail is
-    below one 2^-D per outcome, at most n * 2^-D.  The partial expected bit
-    count sums the tail over depths 0..D-1, which is
-    sum_{d<D} sum_i (p_i 2^d mod q) / (q 2^d); it is accumulated in one
-    integer over q 2^(D-1) and divided once.  D may not exceed DEPTH_CAP,
-    the deepest level a walk reaches, nor n * D the work cap ANALYZE_CAP.
+    Outcome i resolves f_i / 2^D by depth D, with f_i = floor(p_i 2^D / q)
+    and D = depth: its leaves on levels 1..D are the set bits D - 1 .. 0 of
+    f_i, and bit D is set only for p_i = q.  So the tail is
+    (2^D - sum_i f_i) / 2^D, below one 2^-D per outcome, at most n 2^-D.
+    Equal numerators share one floor, one divmod of p 2^D by q each.
+
+    The partial expected bit count sums the tail over depths 0..D-1, which
+    is E = sum_{d<D} sum_i rem_i(d) / (q 2^d) with rem_i(d) = p_i 2^d mod q.
+    With F_d = sum_i floor(p_i 2^d / q):
+
+    1. sum_i rem_i(d) = q (2^d - F_d), because sum_i p_i = q; so
+       E = D - sum_{d<D} F_d 2^-d.
+    2. F_d = sum_i floor(f_i / 2^(D-d)), because floor(floor(x) / m) =
+       floor(x / m) for a positive integer m; with s = D - d,
+       E = D - 2^-D sum_i sum_{s=1..D} 2^s floor(f_i / 2^s).
+    3. sum_{s=1..D} 2^s floor(f / 2^s) = sum_b b bit_b(f) 2^b: the term of
+       s keeps the bits b >= s of f, so bit b is counted min(b, D) times,
+       which is b because f <= 2^D.
+    4. Writing b = sum_t 2^t bit_t(b) regroups that sum as
+       sum_t 2^t (f & M_t), where M_t has the bits b <= D whose index b
+       has bit t set (``_index_masks``).
+
+    So E = (D 2^D - sum_p c_p sum_t 2^t (f_p & M_t)) / 2^D, with c_p the
+    number of outcomes of numerator p, divided once as integers; that is
+    the correctly rounded float of the exact sum.  The cost is one divmod
+    and about log2(D) masked adds on (D + log2 q)-bit integers per distinct
+    numerator, plus O(n) to count them and lay out ``resolved``.  Each
+    remainder p 2^D mod q of the divmod is checked against p (2^D mod q)
+    mod q, the tail against n.
+
+    D may not exceed DEPTH_CAP, the deepest level a walk reaches, nor n * D
+    the work cap ANALYZE_CAP.  Both refusals count n * D in remainder
+    steps, n per level, the unit of the level-by-level loop analyze once
+    ran; the unit, the cap and the messages are kept for compatibility.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -184,17 +222,37 @@ def analyze(sampler: DdgSampler, depth: int) -> AnalyzeReport:
             f"estimated work n*depth = {n} * {depth} = {n * depth} remainder steps "
             f"exceeds the analyze cap {ANALYZE_CAP}"
         )
-    rem = [p % q for p in nums]
-    scaled = 0
-    for _ in range(depth):
-        scaled = (scaled << 1) + sum(rem)
-        rem = [(r << 1) % q for r in rem]
-    floors = [(p << depth) // q for p in nums]
-    pow2, undecided = 1 << depth, (1 << depth) - sum(floors)
-    if any((p << depth) != f * q + r for p, f, r in zip(nums, floors, rem)):
-        raise ArithmeticError("remainders disagree with the resolved mass")
+    pow2, pow2_mod_q = 1 << depth, pow(2, depth, q)
+    masks = _index_masks(depth)
+    share, resolved_sum, weighted = {}, 0, 0
+    for p, count in Counter(nums).items():
+        f, r = divmod(p << depth, q)
+        if r != p * pow2_mod_q % q:
+            raise ArithmeticError("remainders disagree with the resolved mass")
+        share[p] = Fraction(f, pow2)
+        resolved_sum += count * f
+        weighted += count * sum((f & m) << t for t, m in enumerate(masks))
+    undecided = pow2 - resolved_sum
     if undecided > n:
         raise ArithmeticError("tail mass exceeds n * 2^-depth")
-    resolved = tuple(Fraction(f, pow2) for f in floors)
-    return AnalyzeReport(depth, resolved, Fraction(undecided, pow2),
-                         scaled / (q << (depth - 1)))
+    return AnalyzeReport(depth, tuple(map(share.__getitem__, nums)),
+                         Fraction(undecided, pow2), (depth * pow2 - weighted) / pow2)
+
+
+def _index_masks(depth: int) -> list[int]:
+    """M_t for t < depth.bit_length(): the bits b <= depth with bit t of b set.
+
+    Bit t of b is set in runs of 2^t, every 2^(t+1).  Each mask starts as
+    one run and doubles by a shift and an or until it spans depth + 1
+    bits: at most log2(depth) steps on integers of under 2 (depth + 1)
+    bits, O(depth) bit work per mask and no loop over the bits.
+    """
+    width, masks = depth + 1, []
+    for t in range(depth.bit_length()):
+        run, period = 1 << t, 2 << t
+        m = ((1 << run) - 1) << run
+        while period < width:
+            m |= m << period
+            period <<= 1
+        masks.append(m & ((1 << width) - 1))
+    return masks

@@ -404,6 +404,24 @@ def test_analyze_refuses_work_beyond_cap(tmp_path, capsys):
     assert f"cap {2**26}" in err
 
 
+def test_analyze_runs_at_the_work_cap(tmp_path, capsys):
+    # n * depth = 16384 * 4096 = 2^26, the most the cap admits, on 300-bit
+    # numerators: analyze takes one floor and a few masked adds per distinct
+    # numerator, about 0.5 s, and printing the fractions about 1 s more on a
+    # shared 2-core host; a level-by-level remainder loop takes 8 s or more
+    rng = random.Random(26)
+    nums = [rng.getrandbits(300) for _ in range(16_384)]
+    dist_path = tmp_path / "wide16384.json"
+    dist_path.write_text(json.dumps({"numerators": [str(p) for p in nums],
+                                     "denominator": str(sum(nums))}))
+    start = time.perf_counter()
+    rc = main(["analyze", str(dist_path), "--depth", "4096",
+               "--out", str(tmp_path / "report.json")])
+    assert time.perf_counter() - start < 5.0
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sample_and_analyze_report_entropy_of_an_underflowing_outcome(tmp_path, capsys):
     # p = 1 / 2^1100 rounds to 0.0; entropy must skip it, not fail on log2
     dist_path = tmp_path / "tiny.json"

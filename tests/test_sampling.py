@@ -304,6 +304,46 @@ def test_bit_string_enumeration_matches_analyze():
         assert report.expected_bits == float(Fraction(consumed, 2**depth))
 
 
+def _remainder_loop(dist: MixedStrategy, depth: int):
+    """analyze's account by the level-by-level remainder recurrence, in
+    n * depth steps: per level, add up the remainders p_i 2^d mod q, then
+    double and reduce each.  Returns (resolved, tail, expected_bits)."""
+    q, nums = dist.denominator, dist.numerators
+    rem = [p % q for p in nums]
+    scaled = 0
+    for _ in range(depth):
+        scaled = (scaled << 1) + sum(rem)
+        rem = [(r << 1) % q for r in rem]
+    floors = [(p << depth) // q for p in nums]
+    pow2 = 1 << depth
+    return (tuple(Fraction(f, pow2) for f in floors), Fraction(pow2 - sum(floors), pow2),
+            scaled / (q << (depth - 1)))
+
+
+def test_analyze_equals_the_remainder_loop():
+    # analyze's floor read-off against the remainder recurrence, with the
+    # floats compared by ==: the benchmark's four distributions, 300-bit
+    # numerators, a point mass (floor 2^D: bit D set) and an outcome of
+    # mass 2^-1100, at depths around a word and up to DEPTH_CAP.
+    rng = random.Random(33)
+    wide = [rng.getrandbits(300) for _ in range(64)]
+    cases = {
+        "beta40": beta_ne(40)[0].x,
+        "beta200": beta_ne(200)[0].x,
+        "primeblock10": prime_block_ne(10)[0].x,
+        "uniform1000": uniform(1000),
+        "random300": MixedStrategy(tuple(wide), sum(wide)),
+        "point": MixedStrategy((0, 1, 0), 1),
+        "tiny": MixedStrategy((1, 2**1100 - 1), 2**1100),
+    }
+    for name, dist in cases.items():
+        sampler = DdgSampler(dist)
+        for depth in (1, 2, 63, 64, 65, 1000, DEPTH_CAP):
+            report = analyze(sampler, depth)
+            got = (report.resolved, report.tail, report.expected_bits)
+            assert got == _remainder_loop(dist, depth), (name, depth)
+
+
 def test_expected_bits_match_closed_form():
     # The walk stops after k bits exactly on a level-k leaf, so it spends
     # sum_i sum_k k * bit_k(p_i/q) * 2^-k bits on average.  Summing to
