@@ -10,22 +10,30 @@ below c_l, else internal node x - c_l.  Outcome i is reached with
 probability sum_l bit_l(p_i/q) 2^-l = p_i/q exactly, and no exact sampler
 spends fewer expected bits (under H + 2).
 
-A draw resolves that walk with one peek.  Let u_l be the next l bits as
-an integer and S_l = sum_{l' <= l} c_l' 2^(l - l'), with S_-1 = 0.  The
-walk, unresolved, is at x_l = u_l - 2 S_(l-1) on level l: x_0 = 0, and
-x_(l+1) = 2 (x_l - c_l) + bit = u_(l+1) - 2 S_l.  So it stops at the first
-l with u_l < S_l, on leaf u_l - 2 S_(l-1).  With D the deepest level built,
-v the next D bits and the marks T_l = S_l 2^(D - l), which do not
-decrease, u_l < S_l holds exactly when v < T_l, because u_l 2^(D - l) <= v
-< (u_l + 1) 2^(D - l).  Hence l = bisect_right(T, v); the draw skips l
-bits and returns leaf (v - T_(l-1)) >> (D - l) of level l.  If v >= T_D it
-builds levels D + 1, D + 2, ... until the first l with u_l < S_l, the level
-that walk resolves on, rescales the old marks once, and peeks again; a walk
-that reaches DEPTH_CAP unresolved skips DEPTH_CAP bits and raises
-SamplerStall.  Building stops where the bit-by-bit walk would stop, so the
-tree is exactly as deep as the deepest walk so far, and a walk that adds L
-levels costs O(D + L) mark shifts.  Outcomes and bits consumed are those of
-the bit-by-bit walk, at one peek, one bisect and one skip per draw.
+A draw resolves that walk with one read of the next D bits.  Let u_l be
+the next l bits as an integer and S_l = sum_{l' <= l} c_l' 2^(l - l'), with
+S_-1 = 0.  The walk, unresolved, is at x_l = u_l - 2 S_(l-1) on level l:
+x_0 = 0, and x_(l+1) = 2 (x_l - c_l) + bit = u_(l+1) - 2 S_l.  So it stops
+at the first l with u_l < S_l, on leaf u_l - 2 S_(l-1).  With D the deepest
+level built, v the next D bits and the marks T_l = S_l 2^(D - l), which do
+not decrease, u_l < S_l holds exactly when v < T_l, because
+u_l 2^(D - l) <= v < (u_l + 1) 2^(D - l).  Hence l = bisect_right(T, v);
+the draw consumes l bits and returns leaf (v - T_(l-1)) >> (D - l) of
+level l.  If v >= T_D it builds levels D + 1, D + 2, ... until the first l
+with u_l < S_l, the level that walk resolves on, rescales the old marks
+once, and reads again; a walk that reaches DEPTH_CAP unresolved consumes
+DEPTH_CAP bits and raises SamplerStall.  Building stops where the
+bit-by-bit walk would stop, so the tree is exactly as deep as the deepest
+walk so far, and a walk that adds L levels costs O(D + L) mark shifts.
+Outcomes and bits consumed are those of the bit-by-bit walk.
+
+The draw reads the BitSource's buffer in place: v is one shift and mask of
+its int, and consuming l bits is one store to its unread count.  A resolved
+draw calls nothing but bisect_right, and the buffer is refilled only when
+fewer than D bits are left, about once per 256 bits consumed.  A warm
+draw takes 0.50 to 0.57 us on the benchmark's four distributions
+(n = 40 to 1000, D = 18 to 27; CPython 3.11 on a shared 2-core host),
+against 0.68 to 0.77 us with a peek and a skip method call per draw.
 
 Levels are built lazily from the integer remainders r_i = p_i 2^l mod q
 (r <- 2r; emit i and subtract q when r >= q) and shared by all draws.  The
@@ -68,38 +76,54 @@ TOP_DIGIT = bytes(48 + (b >> 7) for b in range(256))  # byte -> ASCII digit of i
 
 
 class BitSource:
-    """Deterministic seeded fair-bit stream that counts what it deals out.
+    """Deterministic seeded fair-bit stream, read as a cursor over the bits
+    it has dealt.
 
     The bits are those of ``random.Random(seed).getrandbits(1)`` calls: the
     top bit of each 32-bit output, read WORDS outputs at a time from the
-    little-endian bytes of ``getrandbits(32 * WORDS)``.  Unread bits wait in
-    one int, the next bit most significant.
+    little-endian bytes of ``getrandbits(32 * WORDS)``.  They wait in one
+    int ``_buf`` whose low ``_len`` bits are unread, the next bit most
+    significant; the bits above them are read and are dropped at the next
+    refill.  So consuming k buffered bits is the one store ``_len -= k``:
+    ``DdgSampler.sample`` reads and consumes the buffer in place, and
+    ``bits_consumed`` is the bits dealt minus ``_len``, not a second count.
     """
 
     def __init__(self, seed: int):
         # random.Random seeds with abs(seed): -s would replay the stream of s
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
-        self.bits_consumed = 0
         self._rng = random.Random(seed)
-        self._buf = 0   # the _len unread bits
+        self._buf = 0   # unread bits in the low _len, read ones above them
         self._len = 0
+        self._dealt = 0
+
+    @property
+    def bits_consumed(self) -> int:
+        """Bits consumed so far (read-only): those dealt minus the unread."""
+        return self._dealt - self._len
+
+    def _fill(self, k: int) -> None:
+        """Drop the read bits and append refills until at least k are unread."""
+        buf = self._buf & ((1 << self._len) - 1)
+        while self._len < k:
+            words = self._rng.getrandbits(32 * WORDS).to_bytes(4 * WORDS, "little")
+            buf = buf << WORDS | int(words[3::4].translate(TOP_DIGIT), 2)
+            self._len += WORDS
+            self._dealt += WORDS
+        self._buf = buf
 
     def peek(self, k: int) -> int:
         """The next k bits as an integer, first bit most significant; none consumed."""
-        while self._len < k:
-            words = self._rng.getrandbits(32 * WORDS).to_bytes(4 * WORDS, "little")
-            self._buf = self._buf << WORDS | int(words[3::4].translate(TOP_DIGIT), 2)
-            self._len += WORDS
-        return self._buf >> (self._len - k)
+        if self._len < k:
+            self._fill(k)
+        return self._buf >> (self._len - k) & ((1 << k) - 1)
 
     def skip(self, k: int) -> None:
         """Consume the next k bits."""
         if self._len < k:
-            self.peek(k)
+            self._fill(k)
         self._len -= k
-        self._buf &= (1 << self._len) - 1
-        self.bits_consumed += k
 
 
 class DdgSampler:
@@ -111,54 +135,58 @@ class DdgSampler:
         q, nums = target.denominator, target.numerators
         self._levels = [[i for i, p in zip(self._outcomes, nums) if p == q]]
         self._rem = [p % q for p in nums]  # p_i 2^D mod q
-        self._marks = [len(self._levels[0])]  # T_0 .. T_D; replaced, never mutated
+        # (marks T_0 .. T_D, D, 2^D - 1); replaced, never mutated
+        self._walk = ([len(self._levels[0])], 0, 0)
         self._lock = threading.Lock()
 
     @property
     def n(self) -> int:
         return self.target.n
 
-    def _deepen(self, bits: BitSource) -> list[int]:
-        """Marks of a tree deep enough to resolve the walk ``bits`` starts,
-        or DEPTH_CAP levels deep if it does not resolve by then."""
+    def _deepen(self, bits: BitSource) -> tuple[list[int], int, int]:
+        """Walk state of a tree deep enough to resolve the walk ``bits``
+        starts, or DEPTH_CAP levels deep if it does not resolve by then."""
         with self._lock:  # concurrent walks must not build a level twice
-            marks = self._marks
-            depth, s = len(marks) - 1, marks[-1]  # s = S_depth = T_depth
+            marks, depth, _ = self._walk
+            s = marks[-1]  # S_depth = T_depth
             if bits.peek(depth) < s:  # another walk has built the level
-                return marks
+                return self._walk
             q, rem, added = self.target.denominator, self._rem, []
             while depth < DEPTH_CAP:
                 depth += 1
                 doubled = [r << 1 for r in rem]
                 level = [i for i, r in zip(self._outcomes, doubled) if r >= q]
                 rem = [r - q if r >= q else r for r in doubled]
-                self._levels.append(level)  # before the marks that reach it
+                self._levels.append(level)  # before the walk state that reaches it
                 s = (s << 1) + len(level)
                 added.append(s)
                 if bits.peek(depth) < s:
                     break
             self._rem = rem
             k = len(added)  # one rescale: T_l = S_l 2^(depth - l)
-            self._marks = [t << k for t in marks] + [
+            marks = [t << k for t in marks] + [
                 t << (k - 1 - j) for j, t in enumerate(added)]
-            return self._marks
+            self._walk = (marks, depth, (1 << depth) - 1)
+            return self._walk
 
     def sample(self, bits: BitSource) -> int:
         """Draw one outcome (1-based), consuming bits until resolved."""
-        levels, marks = self._levels, self._marks
+        levels = self._levels
         if levels[0]:
             return levels[0][0]
+        marks, depth, mask = self._walk
         while True:
-            depth = len(marks) - 1
-            v = bits.peek(depth)
+            if bits._len < depth:
+                bits._fill(depth)
+            v = bits._buf >> (bits._len - depth) & mask  # the next depth bits
             level = bisect_right(marks, v)
             if level <= depth:
-                bits.skip(level)
+                bits._len -= level
                 return levels[level][(v - marks[level - 1]) >> (depth - level)]
             if depth == DEPTH_CAP:
                 bits.skip(DEPTH_CAP)
                 raise SamplerStall(f"no resolution within {DEPTH_CAP} bits")
-            marks = self._deepen(bits)
+            marks, depth, mask = self._deepen(bits)
 
 
 @dataclass(frozen=True)

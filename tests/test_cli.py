@@ -390,8 +390,9 @@ def test_analyze_refuses_depth_beyond_cap(tmp_path, capsys):
 
 
 def test_analyze_refuses_work_beyond_cap(tmp_path, capsys):
-    # the depth is within its cap, but n * depth = 8.2e8 remainder steps
-    # would run for minutes; the refusal comes before any of them
+    # the depth is within its cap, but n * depth = 8.2e8 exceeds the work
+    # cap, which counts n * depth in remainder steps, the unit it keeps for
+    # compatibility; the refusal comes before any work
     dist_path = tmp_path / "uniform200000.json"
     dist_path.write_text(json.dumps({"numerators": [1] * 200_000,
                                      "denominator": 200_000}))

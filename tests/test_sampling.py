@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,24 +34,20 @@ CHI2_CRITICAL_DF7 = 24.322  # upper 1e-3 tail, 7 degrees of freedom
 
 
 class FixedBits(BitSource):
-    """Bit source replaying a given pattern (for convention tests).
-
-    A peek past the end of the pattern reads zeros; consuming past it
-    counts the bits and then raises IndexError.
-    """
+    """Bit source dealing a given pattern and then zeros (for convention
+    tests); ``bits_consumed`` past the pattern's length means a walk ran
+    off its end."""
 
     def __init__(self, pattern: str):
         super().__init__(0)
         self._pattern = pattern
 
-    def peek(self, k: int) -> int:
-        pos = self.bits_consumed
-        return int("0" + self._pattern[pos:pos + k].ljust(k, "0"), 2)
-
-    def skip(self, k: int) -> None:
-        self.bits_consumed += k
-        if self.bits_consumed > len(self._pattern):
-            raise IndexError("consumed past the end of the pattern")
+    def _fill(self, k: int) -> None:
+        while self._len < k:
+            bit = self._pattern[self._dealt:self._dealt + 1] == "1"
+            self._buf = self._buf << 1 | bit
+            self._len += 1
+            self._dealt += 1
 
 
 def test_uniform_two_uses_single_bit():
@@ -142,9 +139,13 @@ def random_distribution(rng: random.Random) -> MixedStrategy:
 
 
 def test_sampler_matches_bit_by_bit_walk():
-    # The peek-and-bisect draw against the walk it replaces, on the same
-    # seeded stream: a fresh sampler builds its levels while drawing, and a
-    # warmed one meets draws that pass its deepest built level.
+    # The in-place draw against the walk it replaces, on the same seeded
+    # stream: a fresh sampler builds its levels while drawing, and a warmed
+    # one meets draws that pass its deepest built level.  On every third
+    # case a fresh sampler's draws are interleaved with seeded peeks and
+    # skips of 0 to 300 bits on the same source, which straddle the 256-bit
+    # refills and the draws that build levels; each draw must be the walk
+    # on the bits that the skips leave.
     rng = random.Random(31337)
     cases = ENUMERATION_CASES + [
         beta_ne(40)[0].x,
@@ -154,7 +155,7 @@ def test_sampler_matches_bit_by_bit_walk():
         *(random_distribution(rng) for _ in range(40)),
     ]
     warm, draws = 1000, 300
-    passed_deepest = 0
+    passed_deepest = interleaved = 0
     for case, dist in enumerate(cases):
         expected, used = knuth_yao_draws(dist, random.Random(case), draws)
         fresh, bits = DdgSampler(dist), BitSource(case)
@@ -168,7 +169,36 @@ def test_sampler_matches_bit_by_bit_walk():
         assert [warmed.sample(bits) for _ in range(draws)] == expected
         assert bits.bits_consumed == sum(used)
         passed_deepest += max(used) > max(warm_used)
+        if case % 3 == 0:
+            interleaved += interleave_draws(dist, 20_000 + case, draws)
     assert passed_deepest >= 5
+    assert interleaved >= 10
+
+
+def interleave_draws(dist: MixedStrategy, seed: int, draws: int) -> bool:
+    """Check ``draws`` draws of a fresh sampler on BitSource(seed), each
+    after a seeded peek, skip or neither.  True if some draw that built
+    levels came right after a peek or skip."""
+    gen = random.Random(seed)
+    stream = "".join(str(gen.getrandbits(1)) for _ in range(draws * 400))
+    widths, sampler, bits = random.Random(2 * seed + 1), DdgSampler(dist), BitSource(seed)
+    pos = straddled = 0
+    for _ in range(draws):
+        k, op = widths.randint(0, 300), widths.random()
+        if op < 0.3:
+            assert bits.peek(k) == int("0" + stream[pos:pos + k], 2)
+        elif op < 0.6:
+            bits.skip(k)
+            pos += k
+        rest = map(int, stream[pos:])  # the getrandbits(1) stream from pos on
+        walk = SimpleNamespace(getrandbits=lambda _: next(rest))
+        expected, used = knuth_yao_draws(dist, walk, 1)
+        depth = sampler._walk[1]
+        assert sampler.sample(bits) == expected[0]
+        pos += used[0]
+        assert bits.bits_consumed == pos
+        straddled += op < 0.6 and sampler._walk[1] > depth
+    return straddled > 0
 
 
 def test_exhaustive_three_bit_enumeration_matches_uniform():
@@ -241,11 +271,11 @@ def test_sampler_stall_guard():
     # one leaf (on the left) and one internal node (on the right).  The
     # all-ones path always takes the internal node and never resolves.
     class OneBits(BitSource):
-        def peek(self, k: int) -> int:
-            return (1 << k) - 1
-
-        def skip(self, k: int) -> None:
-            self.bits_consumed += k
+        def _fill(self, k: int) -> None:
+            grow = k - self._len
+            self._buf = self._buf << grow | ((1 << grow) - 1)
+            self._len = k
+            self._dealt += grow
 
     s = DdgSampler(canonicalize([Fraction(1, 3), Fraction(2, 3)]))
     bits = OneBits(0)
@@ -272,8 +302,9 @@ def test_tree_is_as_deep_as_the_deepest_walk():
             before = bits.bits_consumed
             s.sample(bits)
             longest = max(longest, bits.bits_consumed - before)
-        depth = len(s._marks) - 1
-        assert depth == longest, name
+        marks, depth, mask = s._walk
+        assert depth == longest == len(marks) - 1, name
+        assert mask == (1 << depth) - 1, name
         got[name] = (depth, bits.bits_consumed)
     assert got == {
         "beta40": (18, 130367),
@@ -286,7 +317,7 @@ def test_tree_is_as_deep_as_the_deepest_walk():
 def test_bit_string_enumeration_matches_analyze():
     # Independent second source for analyze: replay all 2^D bit strings of
     # length D through the walk, each weighing 2^-D.  A string still
-    # undecided after D bits asks for bit D + 1 and runs off its end.
+    # undecided after D bits consumes bit D + 1 and runs off its end.
     depth = 12
     for dist in ENUMERATION_CASES:
         s = DdgSampler(dist)
@@ -294,10 +325,9 @@ def test_bit_string_enumeration_matches_analyze():
         consumed = 0
         for v in range(2**depth):
             bits = FixedBits(format(v, f"0{depth}b"))
-            try:
-                counts[s.sample(bits) - 1] += 1
-            except IndexError:
-                pass
+            outcome = s.sample(bits)
+            if bits.bits_consumed <= depth:
+                counts[outcome - 1] += 1
             consumed += min(bits.bits_consumed, depth)
         report = analyze(s, depth)
         assert report.resolved == tuple(Fraction(c, 2**depth) for c in counts)
