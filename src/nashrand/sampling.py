@@ -23,8 +23,9 @@ level l.  If v >= T_D it builds levels D + 1, D + 2, ... until the first l
 with u_l < S_l, the level that walk resolves on, rescales the old marks
 once, and reads again; a walk that reaches DEPTH_CAP unresolved consumes
 DEPTH_CAP bits and raises SamplerStall.  Building stops where the
-bit-by-bit walk would stop, so the tree is exactly as deep as the deepest
-walk so far, and a walk that adds L levels costs O(D + L) mark shifts.
+bit-by-bit walk would stop, so the tree of a sampler that one thread draws
+from is exactly as deep as its deepest walk so far, and a walk that adds
+L levels costs O(D + L) mark shifts.
 Outcomes and bits consumed are those of the bit-by-bit walk.
 
 The draw reads the BitSource's buffer in place: v is one shift and mask of
@@ -35,26 +36,47 @@ draw takes 0.50 to 0.57 us on the benchmark's four distributions
 (n = 40 to 1000, D = 18 to 27; CPython 3.11 on a shared 2-core host),
 against 0.68 to 0.77 us with a peek and a skip method call per draw.
 
-Levels are built lazily from the integer remainders r_i = p_i 2^l mod q
-(r <- 2r; emit i and subtract q when r >= q) and shared by all draws.  The
-sampler holds the remainders, the levels some walk has reached (about
-log2(n draws) of them, as lists of references into one list of outcome
-ints: 22 to 25 levels and 0.12 MB for n = 40 to 1000 after 20k draws,
-64-bit CPython) and the D + 1 marks, each at most 2^D since
+One identity reads the tree off the numerators.  Write p_i/q in binary
+as d_0.d_1 d_2 ..., ending in zeros if it terminates, so d_0 = 1 only for
+p_i = q.  For every L >= 0, floor(p_i 2^L / q) = sum_{l <= L} d_l 2^(L - l),
+since the digits past L add less than one.  So for every L >= l, level
+l's leaves are the outcomes whose floor(p_i 2^L / q) has bit L - l set.
+The sampler builds level l at L = l: its leaves are the outcomes whose
+floor(p_i 2^l / q) is odd, level 0 included.  analyze builds no level: it
+reads levels 0 .. D at once off the floors at L = D, one per distinct
+numerator, in O(distinct * log2 D) big-int steps.
+
+The sampler holds one snapshot of the tree and nothing more: the marks
+T_0 .. T_D, D, 2^D - 1 and levels 0 .. D, each level a list of references
+into one list of outcome ints, shared by all draws.  A draw that must
+build levels extends the snapshot it read and publishes the result by one
+assignment; a published snapshot is never mutated.  Every snapshot is a
+prefix of the one tree, so draws that race to build the same levels at
+worst build them twice (a later publisher may even put back a shallower
+snapshot), and no draw reads a torn state.  The tree grows to about
+log2(draws) levels: after 20k draws at BitSource(1), beta_ne(40).x,
+beta_ne(200).x, prime_block_ne(10).x and uniform(1000) are 18, 21, 20 and
+27 levels deep, and their samplers hold 4.1, 13.6, 10.7 and 84 KB
+(tracemalloc, 64-bit CPython 3.11).  Each mark is at most 2^D, since
 sum_l c_l 2^-l <= 1.
 
-The tree can also be read without building a level: for any D >= l,
-level l's leaves are the outcomes whose floor(p_i 2^D / q) has bit D - l
-set, since the bits D - 1 .. 0 of that floor are the first D binary
-digits of p_i/q (and bit D is set only for p_i = q).  analyze reads its
-exact account to depth D off those floors, one per distinct numerator,
-in O(distinct * log2 D) big-int steps.
+Building level l costs n divisions of (l + log2 q)-bit numerators by q.
+The remainder recurrence (r_i <- 2 r_i; emit i and subtract q when
+r_i >= q) costs n shifts and subtractions of log2 q bits per level, but
+holds n log2 q bits of remainders for the next level; the sampler keeps
+no such state.  On the four distributions above, 28 levels take 0.22,
+1.3, 0.84 and 3.1 ms, against 0.27, 1.2, 0.85 and 3.8 ms by remainders
+(medians of 7 builds, same host).  The divisions cost more
+only deep in a tree with wide numerators: for 50 outcomes over a
+15,000-bit q, 64 levels take 15 ms against 4.8 ms by remainders, and 4096
+levels 13 s against 0.25 s.  A walk reaches depth d with probability at
+most n 2^-d, so only a contrived bit source (all ones, say) goes that
+deep.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -64,12 +86,18 @@ from .errors import DepthTooLarge, SamplerStall
 from .games import MixedStrategy
 
 DEPTH_CAP = 4096
-# largest n * depth that analyze accepts, counted in the remainder steps
-# of the level-by-level loop it once ran (the unit and value are kept, as
-# the refusal states them): at the cap, n = 16384 at depth 4096, analyze
-# takes 1.2 ms on uniform(n) and 0.30 s or 0.42 s with random 64- or
-# 300-bit numerators, and `nashrand analyze` about 1.6 s on the 300-bit
-# ones, about half of it printing 16384 exact fractions (shared 2-core host)
+# largest n * depth that analyze accepts.  It bounds the report, not the
+# arithmetic: each resolved entry is f/2^depth with f <= 2^depth, so it
+# prints in at most about 0.6 depth characters (2,464 for each entry of
+# uniform(1000) at depth 4096), and n * depth <= 2^26 keeps `nashrand
+# analyze` to about 40 MB of output; uniform(200000) at depth 4096, which
+# the cap refuses, would print about 0.5 GB.  The refusal counts n * depth
+# in the remainder steps of the level-by-level loop analyze once ran (the
+# unit and value are kept, as the messages state them).  At the cap,
+# n = 16384 at depth 4096, analyze takes 1.2 ms on uniform(n) and 0.30 s or
+# 0.42 s with random 64- or 300-bit numerators, and `nashrand analyze`
+# about 1.6 s on the 300-bit ones, about half of it printing 16384 exact
+# fractions (shared 2-core host)
 ANALYZE_CAP = 1 << 26
 WORDS = 256                                       # 32-bit outputs per refill
 TOP_DIGIT = bytes(48 + (b >> 7) for b in range(256))  # byte -> ASCII digit of its top bit
@@ -127,54 +155,49 @@ class BitSource:
 
 
 class DdgSampler:
-    """Sampler for one canonical rational distribution, levels built lazily."""
+    """Sampler for one canonical rational distribution, its tree built lazily."""
 
     def __init__(self, target: MixedStrategy):
         self.target = target
         self._outcomes = list(range(1, target.n + 1))  # ints shared by all levels
-        q, nums = target.denominator, target.numerators
-        self._levels = [[i for i, p in zip(self._outcomes, nums) if p == q]]
-        self._rem = [p % q for p in nums]  # p_i 2^D mod q
-        # (marks T_0 .. T_D, D, 2^D - 1); replaced, never mutated
-        self._walk = ([len(self._levels[0])], 0, 0)
-        self._lock = threading.Lock()
+        root = self._level(0)
+        # (marks T_0 .. T_D, D, 2^D - 1, levels 0 .. D); replaced, never mutated
+        self._tree = ([len(root)], 0, 0, (root,))
 
     @property
     def n(self) -> int:
         return self.target.n
 
-    def _deepen(self, bits: BitSource) -> tuple[list[int], int, int]:
-        """Walk state of a tree deep enough to resolve the walk ``bits``
-        starts, or DEPTH_CAP levels deep if it does not resolve by then."""
-        with self._lock:  # concurrent walks must not build a level twice
-            marks, depth, _ = self._walk
-            s = marks[-1]  # S_depth = T_depth
-            if bits.peek(depth) < s:  # another walk has built the level
-                return self._walk
-            q, rem, added = self.target.denominator, self._rem, []
-            while depth < DEPTH_CAP:
-                depth += 1
-                doubled = [r << 1 for r in rem]
-                level = [i for i, r in zip(self._outcomes, doubled) if r >= q]
-                rem = [r - q if r >= q else r for r in doubled]
-                self._levels.append(level)  # before the walk state that reaches it
-                s = (s << 1) + len(level)
-                added.append(s)
-                if bits.peek(depth) < s:
-                    break
-            self._rem = rem
-            k = len(added)  # one rescale: T_l = S_l 2^(depth - l)
-            marks = [t << k for t in marks] + [
-                t << (k - 1 - j) for j, t in enumerate(added)]
-            self._walk = (marks, depth, (1 << depth) - 1)
-            return self._walk
+    def _level(self, l: int) -> list[int]:
+        """Level l's leaves: the outcomes whose floor(p_i 2^l / q) is odd."""
+        q, nums = self.target.denominator, self.target.numerators
+        return [i for i, p in zip(self._outcomes, nums) if (p << l) // q & 1]
+
+    def _deepen(self, bits: BitSource, tree: tuple) -> tuple:
+        """``tree`` extended until the walk ``bits`` starts resolves, or to
+        DEPTH_CAP levels if it does not resolve by then; published as the
+        sampler's tree."""
+        marks, depth, _, levels = tree
+        s, added = marks[-1], []  # S_depth = T_depth
+        while depth < DEPTH_CAP:
+            depth += 1
+            level = self._level(depth)
+            levels += (level,)
+            s = (s << 1) + len(level)
+            added.append(s)
+            if bits.peek(depth) < s:
+                break
+        k = len(added)  # one rescale: T_l = S_l 2^(depth - l)
+        marks = [t << k for t in marks] + [t << (k - 1 - j) for j, t in enumerate(added)]
+        self._tree = tree = (marks, depth, (1 << depth) - 1, levels)
+        return tree
 
     def sample(self, bits: BitSource) -> int:
         """Draw one outcome (1-based), consuming bits until resolved."""
-        levels = self._levels
+        tree = self._tree
+        marks, depth, mask, levels = tree
         if levels[0]:
             return levels[0][0]
-        marks, depth, mask = self._walk
         while True:
             if bits._len < depth:
                 bits._fill(depth)
@@ -186,7 +209,7 @@ class DdgSampler:
             if depth == DEPTH_CAP:
                 bits.skip(DEPTH_CAP)
                 raise SamplerStall(f"no resolution within {DEPTH_CAP} bits")
-            marks, depth, mask = self._deepen(bits)
+            marks, depth, mask, levels = tree = self._deepen(bits, tree)
 
 
 @dataclass(frozen=True)
@@ -233,9 +256,12 @@ def analyze(sampler: DdgSampler, depth: int) -> AnalyzeReport:
     mod q, the tail against n.
 
     D may not exceed DEPTH_CAP, the deepest level a walk reaches, nor n * D
-    the work cap ANALYZE_CAP.  Both refusals count n * D in remainder
-    steps, n per level, the unit of the level-by-level loop analyze once
-    ran; the unit, the cap and the messages are kept for compatibility.
+    the cap ANALYZE_CAP.  That cap bounds the report: each resolved entry
+    f_i / 2^D takes up to about 0.6 D decimal characters, so n * D bounds
+    what a caller prints (about 40 MB at the cap).  Both refusals count
+    n * D in remainder steps, n per level, the unit of the level-by-level
+    loop analyze once ran; the unit, the cap and the messages are kept for
+    compatibility.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -161,10 +161,11 @@ def binary_blocks(rng: random.Random, size: int) -> Iterator[bytes]:
     """Successive blocks of ``size`` ``rng.randint(0, 1)`` values, read in bulk.
 
     ``getrandbits(2)`` is the top two bits of one 32-bit output, and
-    ``randint(0, 1)`` draws it until the value is below 2.  Like
-    ``BitSource``, this reads 1,024 outputs at a time from the little-endian
-    bytes of ``getrandbits(32 * 1024)``, where every fourth byte is an
-    output's top byte.  With size = n^2, a block holds the entries of the
+    ``randint(0, 1)`` draws it until the value is below 2.  This reads
+    1,024 outputs at a time from the little-endian bytes of
+    ``getrandbits(32 * 1024)``, where every fourth byte is an output's top
+    byte, as ``BitSource`` reads ``WORDS`` (256) at a time.  With
+    size = n^2, a block holds the entries of the
     ``random_binary_matrix(rng, n)`` call it replaces, row-major (pinned by
     ``test_random_binary_matrix_matches_randint``).  The reader draws ahead,
     so nothing else may use ``rng`` meanwhile.
@@ -499,18 +500,22 @@ def knuth_yao_draws(
     """``count`` draws of the bit-by-bit Knuth-Yao walk of ``dist`` on the
     bits of ``rng.getrandbits(1)``, and the bits each draw consumed.
 
-    Level k's leaves are the outcomes whose k-th binary digit of p/q,
-    ``(p << k) // q & 1``, is set, in index order (level 0 holds p == q);
-    one bit per level moves the walk to node 2x + bit.  A second source for
-    ``nashrand.sampling.DdgSampler`` and ``BitSource`` alike."""
-    q, nums = dist.denominator, dist.numerators
+    Level k's leaves are the outcomes whose k-th binary digit of p/q is
+    set, in index order, found by long division: the remainders start at
+    p; on each level an outcome whose remainder reaches q is a leaf and has
+    q subtracted, and then every remainder doubles (level 0 holds p == q);
+    one bit per level moves the walk to node 2x + bit.  A second
+    source for ``nashrand.sampling.DdgSampler``, which reads the digits off
+    floor(p 2^k / q), and for ``BitSource`` alike."""
+    q, rem = dist.denominator, list(dist.numerators)
     levels: list[list[int]] = []
     outcomes, used = [], []
     for _ in range(count):
         x = 0
         for k in range(DEPTH_CAP + 1):
             if k == len(levels):
-                levels.append([i for i, p in enumerate(nums, 1) if (p << k) // q & 1])
+                levels.append([i for i, r in enumerate(rem, 1) if r >= q])
+                rem = [(r - q if r >= q else r) << 1 for r in rem]
             if k:
                 x = 2 * x + rng.getrandbits(1)
             if x < len(levels[k]):

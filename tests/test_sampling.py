@@ -193,11 +193,11 @@ def interleave_draws(dist: MixedStrategy, seed: int, draws: int) -> bool:
         rest = map(int, stream[pos:])  # the getrandbits(1) stream from pos on
         walk = SimpleNamespace(getrandbits=lambda _: next(rest))
         expected, used = knuth_yao_draws(dist, walk, 1)
-        depth = sampler._walk[1]
+        depth = sampler._tree[1]
         assert sampler.sample(bits) == expected[0]
         pos += used[0]
         assert bits.bits_consumed == pos
-        straddled += op < 0.6 and sampler._walk[1] > depth
+        straddled += op < 0.6 and sampler._tree[1] > depth
     return straddled > 0
 
 
@@ -302,8 +302,8 @@ def test_tree_is_as_deep_as_the_deepest_walk():
             before = bits.bits_consumed
             s.sample(bits)
             longest = max(longest, bits.bits_consumed - before)
-        marks, depth, mask = s._walk
-        assert depth == longest == len(marks) - 1, name
+        marks, depth, mask, levels = s._tree
+        assert depth == longest == len(marks) - 1 == len(levels) - 1, name
         assert mask == (1 << depth) - 1, name
         got[name] = (depth, bits.bits_consumed)
     assert got == {
@@ -392,7 +392,10 @@ def test_expected_bits_match_closed_form():
 
 def test_shared_sampler_across_threads_matches_a_private_one():
     # Eight threads start drawing from one fresh sampler at once, with a
-    # short switch interval, so they race to build the same levels.
+    # short switch interval, so they race to build the same levels.  Each
+    # publishes the tree it extended, so the last one published may be
+    # shallower than the deepest walk, but it must be the private
+    # sampler's tree cut to its depth: levels and marks alike.
     dist = uniform(999)
     shared = DdgSampler(dist)
     start = threading.Barrier(8)
@@ -415,9 +418,16 @@ def test_shared_sampler_across_threads_matches_a_private_one():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert sorted(results) == list(range(8))
+    private = DdgSampler(dist)
     for seed, drawn in results.items():
-        bits, private = BitSource(seed), DdgSampler(dist)
+        bits = BitSource(seed)
         assert drawn == [private.sample(bits) for _ in range(300)]
+    marks, depth, mask, levels = shared._tree
+    deepest_marks, deepest, _, deepest_levels = private._tree
+    assert 10 <= depth <= deepest
+    assert levels == deepest_levels[:depth + 1]
+    assert marks == [t >> (deepest - depth) for t in deepest_marks[:depth + 1]]
+    assert mask == (1 << depth) - 1
 
 
 def test_storage_asymmetry_for_banded_family():
